@@ -1,22 +1,22 @@
-//! Serving-layer benchmark: deadline-batched concurrent query execution
-//! versus a no-batching control, plus the dynamic write path with
-//! compaction stepping in the loop's idle gaps.
+//! Serving benchmark: what a request costs through the serving engine
+//! next to the direct query it wraps, the engine's write path with
+//! compaction stepping in idle gaps, and its durability cost.
 //!
-//! Phase 1 (static): clients pipeline requests into a single-worker
-//! [`Server`] at batch caps {1, 64, 512}; the bench records req/s and
-//! p50/p99 client-observed latency per cap next to a direct
-//! per-`query` control loop. Answers of every configuration are
-//! asserted **bitwise-identical** to the control before any number is
-//! written.
+//! Static row: a direct per-`query` control loop. An immutable index
+//! needs no serving loop — every index is `Send + Sync`, so callers
+//! query a shared index on their own threads — and this row is what
+//! such a request costs.
 //!
-//! Phase 2 (dynamic): a [`DynamicServer`] absorbs an interleaved
-//! insert/query stream with a small buffer limit and step budget, so
-//! shadow rebuilds stage, step across many idle gaps, and swap — all
-//! while queries keep flowing. Every served answer is verified against
-//! the provenance replay oracle (stage log + stepped==blocking
-//! determinism), proving in-flight compaction never changed a result.
+//! Phase 1 (dynamic): a one-shard [`ShardedServer`] absorbs an
+//! interleaved insert/query stream with a small buffer limit and step
+//! budget, so shadow rebuilds stage, step across idle gaps, and swap —
+//! all while queries keep flowing. Every served answer is replayed
+//! bitwise by the [`ShardedOracle`] from the recorded history, and the
+//! provenance shows a rebuild stepping across idle gaps: some answer was
+//! served after its shard staged the next rebuild and before that
+//! rebuild swapped (`stage_points[rebuilds] < updates_applied`).
 //!
-//! Phase 3 (sharded): the same pipelined clients drive a
+//! Phase 2 (sharded): pipelined clients (bursts of 256 tickets) drive a
 //! [`ShardedServer`] at shard counts {1, 2, 4} × batch caps {1, 64,
 //! 512} over a request mix seeded with explicit shard-spanning ranges.
 //! Every composed answer is asserted bitwise-identical to an offline
@@ -25,23 +25,18 @@
 //! the parts in the same ascending-shard `merge_sum` order — the
 //! scatter-gather path changes the execution, never the bits.
 //!
-//! Emits `results/BENCH_serve.json`. Single-worker numbers on a 1-CPU
-//! box are hardware-gated (same measurement note as the build pipeline
-//! and `query_batch_par`, see ROADMAP.md): batching still wins by
-//! amortizing per-request overhead into one engine-batched
-//! `query_batch` call (PR 6: lockstep interleaved descents + lane-pack
-//! Horner), and the sharded path wins again by replacing the global
-//! mutex/condvar rendezvous with per-shard queues and spin-then-park
-//! wakeups — but multi-shard *scaling* needs a multicore machine (on
-//! one CPU the shards time-slice a single core).
+//! Emits `results/BENCH_serve.json`. Shards time-slice the machine's
+//! cores, so on a box with few cores shard counts > 1 measure
+//! request-path overhead, not parallelism.
 //!
-//! Phase 4 (durability): the same dynamic loop at cap 512 absorbs an
+//! Phase 3 (durability): a one-shard engine at cap 512 absorbs an
 //! update-heavy stream three times — WAL off, group commit (one
 //! write+fsync per ack point, the serving default), and
 //! fsync-per-update (the strict control) — and reports durable req/s
-//! for each. The group-commit run is then killed-and-recovered:
-//! [`DynamicPolyFitSum::recover`] must rebuild the shutdown state
-//! byte-for-byte (`recovery_bitwise_equal`). A separate large log
+//! for each. The group-commit run is then recovered with
+//! [`ShardedServer::recover`]: the recovered shard must hold every update
+//! and serialize byte-for-byte like a replay of the whole stream on a
+//! fresh index (`recovery_bitwise_equal`). A separate large log
 //! (default 1M updates) measures raw replay speed. Emits
 //! `results/BENCH_wal.json`.
 //!
@@ -56,19 +51,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use polyfit::prelude::*;
-use polyfit::{DynamicServeConfig, PolyFitSum, ServeConfig, Served, Ticket};
+use polyfit::shard::shard_wal_name;
+use polyfit::PolyFitSum;
 use polyfit_bench::{arg_usize, results_dir, to_records};
 use polyfit_data::{generate_tweet, query_intervals_from_keys};
-
-struct WindowResult {
-    max_batch: usize,
-    reqs_per_s: f64,
-    p50_ns: u64,
-    p99_ns: u64,
-    batches: u64,
-    mean_batch: f64,
-    bitwise_equal: bool,
-}
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
@@ -76,72 +62,6 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     }
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Drive one server configuration with pipelined clients; returns
-/// throughput/latency plus whether every answer matched the control.
-fn run_window(
-    index: &SharedIndex,
-    ranges: &[(f64, f64)],
-    control: &[Option<f64>],
-    clients: usize,
-    window_us: u64,
-    max_batch: usize,
-) -> WindowResult {
-    let server = polyfit::Server::start(
-        Arc::clone(index),
-        ServeConfig {
-            workers: 1, // single-thread worker: hardware-gated on this box
-            deadline: Duration::from_micros(window_us),
-            max_batch,
-        },
-    );
-    let t0 = Instant::now();
-    let per_client: Vec<(Vec<u64>, bool)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let handle = server.handle();
-                s.spawn(move || {
-                    let mine: Vec<usize> = (c..ranges.len()).step_by(clients).collect();
-                    let mut lat = Vec::with_capacity(mine.len());
-                    let mut equal = true;
-                    // Pipeline in chunks: submit a burst of tickets, then
-                    // drain — open-loop traffic that lets the deadline
-                    // window coalesce real batches.
-                    for chunk in mine.chunks(256) {
-                        let submitted: Vec<(usize, Instant, Ticket)> = chunk
-                            .iter()
-                            .map(|&i| {
-                                let (lo, hi) = ranges[i];
-                                (i, Instant::now(), handle.submit(lo, hi))
-                            })
-                            .collect();
-                        for (i, t, ticket) in submitted {
-                            let served = ticket.wait();
-                            lat.push(t.elapsed().as_nanos() as u64);
-                            equal &= served.answer.map(|a| a.value.to_bits())
-                                == control[i].map(f64::to_bits);
-                        }
-                    }
-                    (lat, equal)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client panicked")).collect()
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let stats = server.shutdown();
-    let mut latencies: Vec<u64> = per_client.iter().flat_map(|(l, _)| l.iter().copied()).collect();
-    latencies.sort_unstable();
-    WindowResult {
-        max_batch,
-        reqs_per_s: ranges.len() as f64 / wall,
-        p50_ns: percentile(&latencies, 0.50),
-        p99_ns: percentile(&latencies, 0.99),
-        batches: stats.batches,
-        mean_batch: stats.requests as f64 / stats.batches.max(1) as f64,
-        bitwise_equal: per_client.iter().all(|&(_, eq)| eq),
-    }
 }
 
 struct ShardedResult {
@@ -273,7 +193,7 @@ fn run_sharded_window(
     }
 }
 
-/// Drive the dynamic loop at cap 512 through an update-heavy stream,
+/// Drive a one-shard engine at cap 512 through an update-heavy stream,
 /// optionally journaling to `wal`. The wall clock runs through
 /// `shutdown()`, so every journaled byte is on disk when the timer
 /// stops — the number is *durable* throughput, not enqueue throughput.
@@ -281,7 +201,7 @@ fn run_sharded_window(
 /// work — the write path plus journaling — rather than whatever rebuild
 /// schedule each run happens to hit (a swap would also charge the
 /// group-commit run a full synchronous checkpoint the wal-off run never
-/// pays). Returns (requests/s, the final index handed back by the loop).
+/// pays). Returns requests/s.
 #[allow(clippy::too_many_arguments)]
 fn run_wal_window(
     records: &[polyfit_exact::dataset::Record],
@@ -292,20 +212,22 @@ fn run_wal_window(
     ranges: &[(f64, f64)],
     window_us: u64,
     wal: Option<(&Path, SyncPolicy)>,
-) -> (f64, DynamicPolyFitSum) {
-    let mut index = DynamicPolyFitSum::new(records.to_vec(), delta, config, limit).expect("build");
-    if let Some((dir, policy)) = wal {
-        let _ = std::fs::remove_dir_all(dir);
-        index.attach_wal(dir, "serve", policy, 0).expect("attach wal");
-    }
-    let server = polyfit::DynamicServer::start(
-        index,
-        DynamicServeConfig {
-            deadline: Duration::from_micros(window_us),
-            max_batch: 512,
-            compaction_budget: 0, // frozen: measure the write path, not rebuilds
-        },
-    );
+) -> f64 {
+    let cfg = ShardConfig {
+        deadline: Duration::from_micros(window_us),
+        max_batch: 512,
+        compaction_budget: 0, // frozen: measure the write path, not rebuilds
+        buffer_limit: limit,
+        ..ShardConfig::default()
+    };
+    let server = match wal {
+        Some((dir, policy)) => {
+            let _ = std::fs::remove_dir_all(dir);
+            ShardedServer::start_with_wal(records.to_vec(), delta, config, cfg, dir, policy)
+                .expect("start with wal")
+        }
+        None => ShardedServer::start(records.to_vec(), delta, config, cfg).expect("start"),
+    };
     let handle = server.handle();
     let t0 = Instant::now();
     let mut ops = 0usize;
@@ -328,9 +250,8 @@ fn run_wal_window(
             ops += 1;
         }
     }
-    let (final_index, _stats) = server.shutdown();
-    let wall = t0.elapsed().as_secs_f64();
-    (ops as f64 / wall, final_index)
+    server.shutdown();
+    ops as f64 / t0.elapsed().as_secs_f64()
 }
 
 fn main() {
@@ -386,124 +307,83 @@ fn main() {
     let index: SharedIndex =
         Arc::new(PolyFitSum::build(records.clone(), delta, config).expect("build"));
 
-    // No-batching control: direct trait queries, one at a time.
+    // Static row: direct trait queries on the caller's thread, one at a
+    // time — how an immutable index is served.
     let t0 = Instant::now();
     let control: Vec<Option<f64>> =
         ranges.iter().map(|&(lo, hi)| index.query(lo, hi).map(|a| a.value)).collect();
     let control_wall = t0.elapsed().as_secs_f64();
+    std::hint::black_box(&control);
     let control_ns = control_wall * 1e9 / ranges.len() as f64;
     println!(
         "  control (direct query): {control_ns:.0} ns/query, {:.0} req/s",
         ranges.len() as f64 / control_wall
     );
 
-    let windows: Vec<WindowResult> = [1usize, 64, 512]
-        .iter()
-        .map(|&cap| {
-            let w = run_window(&index, &ranges, &control, clients, window_us, cap);
-            println!(
-                "  cap {:>3}: {:>9.0} req/s   p50 {:>7} ns   p99 {:>8} ns   \
-                 {} batches (mean {:.1})   bitwise {}",
-                w.max_batch,
-                w.reqs_per_s,
-                w.p50_ns,
-                w.p99_ns,
-                w.batches,
-                w.mean_batch,
-                w.bitwise_equal
-            );
-            w
-        })
-        .collect();
-
-    // ---- Phase 2: dynamic serving with idle-gap compaction ----------------
+    // ---- Phase 1: dynamic serving with idle-gap compaction ----------------
     let limit = (n_updates / 8).max(32);
-    let dyn_index = DynamicPolyFitSum::new(records.clone(), delta, config, limit).expect("build");
-    let server = polyfit::DynamicServer::start(
-        dyn_index,
-        DynamicServeConfig {
+    let server = ShardedServer::start(
+        records.clone(),
+        delta,
+        config,
+        ShardConfig {
             deadline: Duration::from_micros(window_us),
             max_batch: 64,
             // Small budget: rebuilds must spread across many idle gaps,
             // and a request arriving mid-step waits at most one small
             // bounded fit, never a full rebuild.
             compaction_budget: (records.len() / 512).max(128),
+            buffer_limit: limit,
+            record_history: true,
+            ..ShardConfig::default()
         },
-    );
+    )
+    .expect("build");
     let handle = server.handle();
     let (k_lo, k_hi) = (keys[0], keys[keys.len() - 1]);
     let top = k_hi - 0.02 * (k_hi - k_lo);
-    let mut updates: Vec<Update> = Vec::with_capacity(n_updates);
-    let mut observed: Vec<(f64, f64, Served)> = Vec::new();
+    let mut observed: Vec<ShardServed> = Vec::new();
     let mut q_lat: Vec<u64> = Vec::new();
     for i in 0..n_updates {
         let k = top + (k_hi - top) * ((i * 7919) % 9973) as f64 / 9973.0;
-        let u = Update::Insert { key: k, measure: 1.0 + (i % 3) as f64 };
-        handle.update(u).expect("finite update");
-        updates.push(u);
+        handle.insert(k, 1.0 + (i % 3) as f64).expect("finite update");
         if i % 8 == 0 {
             let (lo, hi) = ranges[i % ranges.len()];
             let t = Instant::now();
-            let served = handle.query_served(lo, hi);
+            observed.push(handle.query_served(lo, hi));
             q_lat.push(t.elapsed().as_nanos() as u64);
-            observed.push((lo, hi, served));
         }
     }
-    let stage_log = server.stage_log();
-    // Final counters come from shutdown itself, so they include the
-    // updates and compaction steps drained after the last query.
-    let (final_index, stats) = server.shutdown();
+    // Every observed answer was served before this history snapshot, so
+    // it holds each stage point they need.
+    let oracle = server.oracle();
+    let stats = server.shutdown();
     q_lat.sort_unstable();
-
-    // Replay oracle, advanced incrementally (queries were observed in
-    // submission order, and stages/swaps strictly alternate): stage at
-    // each logged point, swap when a served answer's `rebuilds` says the
-    // loop had — stepped == blocking makes every state exact, and a
-    // staged-but-unswapped rebuild is bitwise-transparent.
-    let mut oracle = DynamicPolyFitSum::new(records.clone(), delta, config, limit).expect("build");
-    oracle.set_step_budget(0);
-    let (mut applied, mut si, mut swapped) = (0usize, 0usize, 0u64);
-    let mut dynamic_equal = true;
-    for &(lo, hi, served) in &observed {
-        while applied < served.updates_applied as usize {
-            match updates[applied] {
-                Update::Insert { key, measure } => oracle.insert(key, measure),
-                Update::Delete { key, measure } => oracle.delete(key, measure),
-            }
-            applied += 1;
-            while si < stage_log.len() && stage_log[si] <= applied as u64 {
-                if oracle.is_compacting() {
-                    // The loop must have swapped the previous rebuild
-                    // before staging this one (at most one is pending).
-                    oracle.compact_now();
-                    swapped += 1;
-                }
-                assert!(oracle.begin_compaction(), "logged stage {si} must have work");
-                si += 1;
-            }
-        }
-        while swapped < served.rebuilds {
-            assert!(oracle.is_compacting(), "a reported swap must have a staged rebuild");
-            oracle.compact_now();
-            swapped += 1;
-        }
-        let expect = AggregateIndex::query(&oracle, lo, hi);
-        dynamic_equal &=
-            served.answer.map(|a| a.value.to_bits()) == expect.map(|a| a.value.to_bits());
-    }
+    let dynamic_updates = stats.shards[0].updates_applied;
+    let dynamic_rebuilds = stats.shards[0].rebuilds;
+    let stage_points: &[u64] = oracle.history().logs.get(&0).map_or(&[], |l| &l.stage_points);
+    // Served mid-rebuild: the shard had staged its next rebuild before
+    // this answer and swapped it only after — the rebuild spanned idle
+    // gaps while queries kept flowing.
+    let mid_rebuild = observed
+        .iter()
+        .filter(|s| {
+            s.shards.first().is_some_and(|p| {
+                stage_points.get(p.rebuilds as usize).is_some_and(|&at| at < p.updates_applied)
+            })
+        })
+        .count();
+    let dynamic_equal = observed.iter().all(|s| !s.poisoned && oracle.matches(s));
     println!(
-        "  dynamic: {} updates, {} queries   rebuilds {} ({} staged)   steps {}   \
-         p99 query {} ns   bitwise {}",
-        stats.updates,
+        "  dynamic: {dynamic_updates} updates, {} queries   rebuilds {dynamic_rebuilds} \
+         ({} staged)   {mid_rebuild} answered mid-rebuild   p99 query {} ns   bitwise {}",
         observed.len(),
-        final_index.rebuilds(),
-        stage_log.len(),
-        stats.compaction_steps,
+        stage_points.len(),
         percentile(&q_lat, 0.99),
         dynamic_equal
     );
 
-    // ---- Phase 3: shard-per-core serving --------------------------------
+    // ---- Phase 2: shard-per-core serving --------------------------------
     // Spanning mix: every 16th request becomes a wide range crossing
     // most of the key domain, so multi-shard configurations exercise the
     // scatter-gather path, not just single-shard routing.
@@ -549,29 +429,17 @@ fn main() {
         })
         .collect();
     let sharded_bitwise_equal = sharded.iter().all(|r| r.bitwise_equal);
-    let loop_cap512 = windows.iter().find(|w| w.max_batch == 512).map_or(0.0, |w| w.reqs_per_s);
-    let shard1_cap512 =
-        sharded.iter().find(|r| r.shards == 1 && r.max_batch == 512).map_or(0.0, |r| r.reqs_per_s);
-    let sharded_speedup = shard1_cap512 / loop_cap512.max(1.0);
-    println!(
-        "  sharded vs loop @cap512: {shard1_cap512:.0} vs {loop_cap512:.0} req/s \
-         ({sharded_speedup:.2}x, 1 shard)"
-    );
-
-    let bitwise_equal = windows.iter().all(|w| w.bitwise_equal) && dynamic_equal;
 
     // Acceptance gates run before any JSON is written.
-    assert!(bitwise_equal, "served answers diverged from the direct-query control");
+    assert!(dynamic_equal, "served answers diverged from the sharded replay oracle");
     assert!(sharded_bitwise_equal, "sharded answers diverged from the composed per-shard control");
     assert!(
-        final_index.rebuilds() >= 1,
+        dynamic_rebuilds >= 1,
         "the dynamic workload must complete at least one compaction while serving"
     );
     assert!(
-        stats.compaction_steps > final_index.rebuilds() as u64,
-        "rebuilds must step across multiple idle gaps (steps {}, rebuilds {})",
-        stats.compaction_steps,
-        final_index.rebuilds()
+        mid_rebuild >= 1,
+        "rebuilds must step across idle gaps: no answer was served between a stage and its swap"
     );
 
     let mut json = String::from("{\n");
@@ -579,31 +447,14 @@ fn main() {
     let _ = writeln!(json, "  \"requests\": {},", ranges.len());
     let _ = writeln!(json, "  \"clients\": {clients},");
     let _ = writeln!(json, "  \"window_us\": {window_us},");
-    let _ = writeln!(json, "  \"serve_workers\": 1,");
     let _ = writeln!(json, "  \"control_ns_per_query\": {control_ns:.1},");
     let _ = writeln!(json, "  \"control_reqs_per_s\": {:.1},", ranges.len() as f64 / control_wall);
-    let _ = writeln!(json, "  \"windows\": [");
-    for (i, w) in windows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"max_batch\": {}, \"reqs_per_s\": {:.1}, \"p50_ns\": {}, \
-             \"p99_ns\": {}, \"batches\": {}, \"mean_batch\": {:.2}}}{}",
-            w.max_batch,
-            w.reqs_per_s,
-            w.p50_ns,
-            w.p99_ns,
-            w.batches,
-            w.mean_batch,
-            if i + 1 < windows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"dynamic_updates\": {},", stats.updates);
+    let _ = writeln!(json, "  \"dynamic_updates\": {dynamic_updates},");
     let _ = writeln!(json, "  \"dynamic_queries\": {},", observed.len());
-    let _ = writeln!(json, "  \"dynamic_rebuilds\": {},", final_index.rebuilds());
-    let _ = writeln!(json, "  \"dynamic_compaction_steps\": {},", stats.compaction_steps);
+    let _ = writeln!(json, "  \"dynamic_rebuilds\": {dynamic_rebuilds},");
+    let _ = writeln!(json, "  \"dynamic_answers_mid_rebuild\": {mid_rebuild},");
     let _ = writeln!(json, "  \"dynamic_p99_query_ns\": {},", percentile(&q_lat, 0.99));
-    let _ = writeln!(json, "  \"bitwise_equal\": {bitwise_equal},");
+    let _ = writeln!(json, "  \"bitwise_equal\": {dynamic_equal},");
     let _ = writeln!(json, "  \"sharded\": [");
     for (i, r) in sharded.iter().enumerate() {
         let _ = writeln!(
@@ -621,15 +472,12 @@ fn main() {
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"sharded_bitwise_equal\": {sharded_bitwise_equal},");
-    let _ = writeln!(json, "  \"sharded_speedup_vs_loop_cap512\": {sharded_speedup:.3},");
     let _ = writeln!(
         json,
-        "  \"note\": \"single serving worker; 1-CPU container — multi-worker and multi-shard \
-         scaling are hardware-gated (see ROADMAP): shards time-slice one core, so shard \
-         counts > 1 measure request-path overhead, not parallelism. Batching gains come \
-         from the SIMD-batched descent engine behind query_batch; sharded gains come from \
-         replacing the global mutex/condvar rendezvous with per-shard queues and \
-         spin-then-park wakeups\""
+        "  \"note\": \"control = direct queries on the caller's thread, how immutable indexes \
+         are served. dynamic = one-shard engine, every answer replayed bitwise by the \
+         ShardedOracle. Shards time-slice the machine's cores, so on a small box shard counts \
+         > 1 measure request-path overhead, not parallelism\""
     );
     json.push_str("}\n");
 
@@ -641,7 +489,7 @@ fn main() {
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 
-    // ---- Phase 4: durable write path --------------------------------------
+    // ---- Phase 3: durable write path --------------------------------------
     let n_wal_updates = arg_usize("wal-updates", 8_192);
     let wal_log_n = arg_usize("wal-log", 1_000_000);
     let wal_root: PathBuf = std::env::temp_dir().join("polyfit-bench-wal");
@@ -658,17 +506,15 @@ fn main() {
     // Each round runs the two configurations back-to-back (same machine
     // weather) and the gate reads the best round's ratio. Every group
     // run rewrites the journal directory, so the recovery check below
-    // reads the on-disk state of the run it gets the index from (the
-    // last one — the update stream is deterministic, so all rounds
-    // journal identical state).
+    // reads the last one's (the update stream is deterministic, so all
+    // rounds journal identical state).
     let group_dir = wal_root.join("group");
     let rounds = 3;
     let (mut off_rps, mut group_rps, mut group_ratio) = (0.0f64, 0.0f64, 0.0f64);
-    let mut group_final = None;
     for _ in 0..rounds {
-        let (off, _) =
+        let off =
             run_wal_window(&records, delta, config, limit, &wal_stream, &ranges, window_us, None);
-        let (grp, idx) = run_wal_window(
+        let grp = run_wal_window(
             &records,
             delta,
             config,
@@ -678,18 +524,16 @@ fn main() {
             window_us,
             Some((&group_dir, SyncPolicy::Batch)),
         );
-        group_final = Some(idx);
         let ratio = grp / off.max(1.0);
         if ratio > group_ratio {
             (off_rps, group_rps, group_ratio) = (off, grp, ratio);
         }
     }
-    let group_final = group_final.expect("at least one round ran");
     println!("    wal off:          {off_rps:>9.0} req/s");
     println!("    group commit:     {group_rps:>9.0} req/s ({group_ratio:.2}x of wal-off)");
     let strict_dir = wal_root.join("strict");
     let strict_rps = {
-        let (a, _) = run_wal_window(
+        let a = run_wal_window(
             &records,
             delta,
             config,
@@ -699,7 +543,7 @@ fn main() {
             window_us,
             Some((&strict_dir, SyncPolicy::EveryUpdate)),
         );
-        let (b, _) = run_wal_window(
+        let b = run_wal_window(
             &records,
             delta,
             config,
@@ -716,14 +560,40 @@ fn main() {
         strict_rps / off_rps.max(1.0)
     );
 
-    // Kill-and-recover the group-commit run: the loop's final sync made
-    // every acked update durable, so recovery must reproduce the
-    // shutdown state byte-for-byte (serialized PFD2 bytes compared).
-    let (recovered, report) =
-        DynamicPolyFitSum::recover(&group_dir, "serve").expect("recover group-commit WAL");
-    let recovery_bitwise_equal = report.head_seq == n_wal_updates as u64
-        && recovered.rebuilds() == group_final.rebuilds()
-        && recovered.to_bytes() == group_final.to_bytes();
+    // Recover the group-commit run: the worker's final sync made every
+    // acked update durable, so the recovered shard must hold the whole
+    // stream and serialize byte-for-byte like the same updates replayed
+    // in order on a fresh copy of the shard's initial index (compaction
+    // was frozen, so no rebuild intervenes).
+    let (recovered, reports) = ShardedServer::recover(
+        &group_dir,
+        ShardConfig { compaction_budget: 0, ..ShardConfig::default() },
+        SyncPolicy::Batch,
+    )
+    .expect("recover group-commit WAL");
+    recovered.shutdown();
+    let [(shard, report)] = reports.as_slice() else {
+        panic!("the group-commit run journals one shard, recovered {}", reports.len());
+    };
+    let (recovered_shard, _) = DynamicPolyFitSum::recover(&group_dir, &shard_wal_name(*shard))
+        .expect("read back the recovered shard");
+    let mut replay = DynamicPolyFitSum::with_options(
+        records.clone(),
+        delta,
+        config,
+        limit,
+        &BuildOptions::default(),
+    )
+    .expect("build");
+    replay.set_step_budget(0);
+    for u in &wal_stream {
+        match *u {
+            Update::Insert { key, measure } => replay.insert(key, measure),
+            Update::Delete { key, measure } => replay.delete(key, measure),
+        }
+    }
+    let recovery_bitwise_equal =
+        report.head_seq == n_wal_updates as u64 && recovered_shard.to_bytes() == replay.to_bytes();
     println!(
         "    kill+recover:     checkpoint seq {} + {} replayed -> head {}   bitwise {}",
         report.checkpoint_seq, report.replayed_updates, report.head_seq, recovery_bitwise_equal
@@ -792,9 +662,10 @@ fn main() {
          writes here, plus idle boundaries and shutdown), so a burst of write-only \
          windows shares one fence; fsync-per-update is the strict control. wal-off \
          and group commit run as back-to-back pairs and the best round's ratio is \
-         reported (1-CPU run-to-run noise exceeds the effect otherwise). \
-         recovery_bitwise_equal compares serialized PFD2 bytes of the recovered index \
-         against the index handed back at shutdown\""
+         reported (1-CPU run-to-run noise exceeds the effect otherwise). Every run is a \
+         one-shard ShardedServer; recovery_bitwise_equal recovers the group-commit run with \
+         ShardedServer::recover and compares the shard's serialized PFD2 bytes against the \
+         whole update stream replayed on a fresh index\""
     );
     json.push_str("}\n");
     let path = dir.join("BENCH_wal.json");

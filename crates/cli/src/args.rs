@@ -11,21 +11,22 @@ usage:
                 [--threads <N>]   (0 or omitted = all available cores)
                 [--stats]         (sum/count: embed per-segment statistics)
                 [--dynamic]       (sum/count: write a dynamic PFD2 index that retains
-                                   its records — required for --shards / --wal serving)
+                                   its records — served through the engine with
+                                   --shards / --wal)
                 [--grid <N>]      (count2d: CF lattice resolution, default 1024;
                                    input rows are `u,v[,w]`)
   polyfit-cli query --index <index.pf> (--lo <float> --hi <float>
                 | --rect <u_lo> <u_hi> <v_lo> <v_hi> | --batch-file <ranges.csv>)
   polyfit-cli serve --index <index.pf> --requests <ranges.csv>
                 [--clients <N>]   (request-submitting client threads, default 4)
-                [--workers <N>]   (serving workers, 0 or omitted = all cores)
-                [--window-us <N>] (batch deadline window in µs, default 200)
-                [--batch-cap <N>] (max requests per sweep, default 512; 1 = no batching)
-                [--shards <N>]    (0 or omitted = single serving loop; N >= 1 serves
-                                   through N shared-nothing key-space shards — the
-                                   index file must be a dynamic PFD2 index)
-                [--wal <dir>]     (journal updates durably: checkpoint + fsync-batched
-                                   log(s) under <dir>; needs a dynamic PFD2 index)
+                [--shards <N>]    (serve a dynamic PFD2 index through the engine
+                                   with N >= 1 key-space shards, default 1)
+                [--wal <dir>]     (serve a dynamic PFD2 index through the engine,
+                                   journaling updates durably: checkpoint +
+                                   fsync-batched log per shard under <dir>)
+                [--window-us <N>] (engine batch deadline window in µs, default 200)
+                [--batch-cap <N>] (engine max requests per sweep, default 512;
+                                   1 = no batching)
                 [--failpoint site=spec] (repeatable; arm a named failpoint — e.g.
                                    wal.fsync.err=once:error — to replay a fault
                                    schedule; needs a `failpoints`-feature build)
@@ -35,13 +36,16 @@ usage:
 batch file: one `lo,hi` pair per line (2-D PFQ1 indexes: one
 `u_lo,u_hi,v_lo,v_hi` rectangle per line); answers print one per line in
 order.
-serve: replays the request file through the concurrent serving loop
-(deadline-batched query_batch execution) and reports per-request answers
-plus throughput; answers are verified bitwise against direct queries
-(against composed per-shard snapshot reads when --shards is used).
+serve: replays the request file from concurrent client threads and
+reports per-request answers plus throughput. A dynamic (PFD2) index with
+--wal or --shards is served through the sharded engine (deadline-batched
+shard workers), its answers verified bitwise against composed per-shard
+snapshot reads; every other index file is immutable and answered directly
+on the client threads, verified bitwise against one query_batch pass.
 recover: rebuild the exact pre-crash index state from a WAL directory
 (last checkpoint + checksummed log tail; torn tails are truncated) and
-report the replay; --output writes the recovered index as a PFD2 file.
+report the replay; --output writes the recovered index as a PFD2 file
+(a sharded WAL must hold one shard, as `serve --wal` writes by default).
 info --wal: additionally reports the journal's replay cursor (checkpoint
 sequence vs log head) for each log segment under <dir>.";
 
@@ -93,25 +97,23 @@ pub enum Command {
         index: String,
         batch_file: String,
     },
-    /// Replay a request file through the concurrent serving loop.
+    /// Replay a request file from concurrent client threads.
     Serve {
         index: String,
         requests: String,
         /// Client threads submitting requests concurrently.
         clients: usize,
-        /// Serving worker threads; 0 = one per available core.
-        workers: usize,
-        /// Batch deadline window in microseconds.
+        /// Engine batch deadline window in microseconds.
         window_us: u64,
-        /// Batch-size cap per sweep.
+        /// Engine batch-size cap per sweep.
         batch_cap: usize,
-        /// Key-space shards: 0 = the single deadline-batched loop,
-        /// N >= 1 = shared-nothing sharded serving (requires a dynamic
-        /// PFD2 index file, which retains its record set).
-        shards: usize,
+        /// Engine shard count (`--shards`, at least 1); `None` when the
+        /// flag is absent. With this or `wal`, a dynamic PFD2 index is
+        /// served through the sharded engine (one shard by default).
+        shards: Option<usize>,
         /// WAL directory: journal every applied update durably
-        /// (checkpoint + fsync-batched log) so `recover` can rebuild
-        /// the exact served state after a crash. Requires PFD2.
+        /// (checkpoint + fsync-batched log per shard) so `recover` can
+        /// rebuild the exact served state after a crash. Requires PFD2.
         wal: Option<String>,
         /// `site=spec` failpoint arms (repeatable), applied before the
         /// server starts — the CLI face of schedule replay. Rejected at
@@ -121,8 +123,8 @@ pub enum Command {
     /// Rebuild the exact pre-crash state from a WAL directory.
     Recover {
         wal: String,
-        /// Write the recovered index as a PFD2 file (single-journal
-        /// recovery only; sharded state stays in its per-shard WAL).
+        /// Write the recovered index as a PFD2 file (a sharded WAL must
+        /// hold a single shard; more stay in their per-shard WAL).
         output: Option<String>,
     },
     Info {
@@ -270,14 +272,20 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             if batch_cap == 0 {
                 return Err(ParseError("--batch-cap must be at least 1".into()));
             }
+            let shards = match flag_value(argv, "--shards") {
+                Some(_) => Some(parse_usize("--shards", 1)?),
+                None => None,
+            };
+            if shards == Some(0) {
+                return Err(ParseError("--shards must be at least 1".into()));
+            }
             Ok(Command::Serve {
                 index: required(argv, "--index")?.to_string(),
                 requests: required(argv, "--requests")?.to_string(),
                 clients,
-                workers: parse_usize("--workers", 0)?,
                 window_us: parse_usize("--window-us", 200)? as u64,
                 batch_cap,
-                shards: parse_usize("--shards", 0)?,
+                shards,
                 wal: flag_value(argv, "--wal").map(String::from),
                 failpoints: {
                     let mut arms = Vec::new();
@@ -474,17 +482,16 @@ mod tests {
                 index: "i.pf".into(),
                 requests: "r.csv".into(),
                 clients: 4,
-                workers: 0,
                 window_us: 200,
                 batch_cap: 512,
-                shards: 0,
+                shards: None,
                 wal: None,
                 failpoints: vec![],
             }
         );
         assert_eq!(
             parse(&argv(
-                "serve --index i.pf --requests r.csv --clients 2 --workers 3 \
+                "serve --index i.pf --requests r.csv --clients 2 \
                  --window-us 50 --batch-cap 64 --shards 2 --wal wal-dir"
             ))
             .unwrap(),
@@ -492,10 +499,9 @@ mod tests {
                 index: "i.pf".into(),
                 requests: "r.csv".into(),
                 clients: 2,
-                workers: 3,
                 window_us: 50,
                 batch_cap: 64,
-                shards: 2,
+                shards: Some(2),
                 wal: Some("wal-dir".into()),
                 failpoints: vec![],
             }
@@ -505,13 +511,14 @@ mod tests {
         assert!(parse(&argv("serve --index i.pf --requests r.csv --batch-cap 0")).is_err());
         assert!(parse(&argv("serve --index i.pf --requests r.csv --window-us x")).is_err());
         assert!(parse(&argv("serve --index i.pf --requests r.csv --shards x")).is_err());
+        assert!(parse(&argv("serve --index i.pf --requests r.csv --shards 0")).is_err());
     }
 
     #[test]
     fn serve_parses_repeated_failpoints() {
         let cmd = parse(&argv(
             "serve --index i.pf --requests r.csv --failpoint wal.fsync.err=once:error \
-             --failpoint serve.fence.skip=3:trigger",
+             --failpoint shard.fence.skip=3:trigger",
         ))
         .unwrap();
         match cmd {
@@ -520,7 +527,7 @@ mod tests {
                     failpoints,
                     vec![
                         "wal.fsync.err=once:error".to_string(),
-                        "serve.fence.skip=3:trigger".to_string(),
+                        "shard.fence.skip=3:trigger".to_string(),
                     ]
                 );
             }

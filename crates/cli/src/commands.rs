@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use polyfit::prelude::*;
+use polyfit::shard::shard_wal_name;
 use polyfit::wal::{checkpoint_path, log_path, read_checkpoint, scan_wal};
 use polyfit::{atomic_write, Extremum, LayoutLog, PolyFitMax, PolyFitSum};
 use polyfit::{AggregateIndex2d, QuadPolyFit};
@@ -119,37 +120,84 @@ fn backend_of(name: &str) -> FitBackend {
     }
 }
 
-/// Tuning knobs for [`serve_sharded`], bundled so the call site reads as
-/// one coherent option block.
-struct ShardServeOpts<'a> {
-    clients: usize,
-    window_us: u64,
-    batch_cap: usize,
-    shards: usize,
-    wal: Option<&'a str>,
+/// A `serve` answer: the value (`None` for non-finite bounds or a range
+/// outside the key domain), or `Err` when the engine poisoned the request.
+type Answer = Result<Option<f64>, String>;
+
+/// The client-replay driver behind `serve`: `clients` threads split the
+/// request file round-robin, each answering through its own function
+/// from `client()`. Returns the answers in file order and the wall time.
+fn replay<F>(ranges: &[(f64, f64)], clients: usize, client: impl Fn() -> F) -> (Vec<Answer>, f64)
+where
+    F: FnMut(f64, f64) -> Answer + Send,
+{
+    let t0 = Instant::now();
+    let mut answers: Vec<Answer> = vec![Ok(None); ranges.len()];
+    std::thread::scope(|s| {
+        let threads: Vec<_> = (0..clients)
+            .map(|c| {
+                let mut answer = client();
+                s.spawn(move || {
+                    (c..ranges.len())
+                        .step_by(clients)
+                        .map(|i| (i, answer(ranges[i].0, ranges[i].1)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for t in threads {
+            for (i, a) in t.join().expect("serve client panicked") {
+                answers[i] = a;
+            }
+        }
+    });
+    (answers, t0.elapsed().as_secs_f64())
 }
 
-/// `serve --shards N`: replay the request file through N shared-nothing
-/// key-space shards instead of the single deadline-batched loop.
-///
-/// Sharding needs the record set to partition, and only dynamic (`PFD2`)
-/// index files retain one — the compacted base records plus any
-/// still-buffered deltas, which the sharded server's dedup-sum ingest
-/// folds back into one ground truth. A replay submits no updates, so the
-/// wait-free composed snapshot read is a stable oracle: every served
-/// answer is verified bitwise against it (same per-shard state, same
-/// clip-and-merge composition) before anything is printed.
-fn serve_sharded(
+/// Check every served answer bitwise against `reference` (file order),
+/// then print them one per line — nothing is printed unless all agree.
+fn verify_and_print(
+    ranges: &[(f64, f64)],
+    answers: &[Answer],
+    reference: impl Iterator<Item = Option<f64>>,
+    what: &str,
+) -> Result<(), String> {
+    let mut out = String::with_capacity(ranges.len() * 16);
+    for (i, (answer, expect)) in answers.iter().zip(reference).enumerate() {
+        let (lo, hi) = ranges[i];
+        let value = answer.as_ref().map_err(|e| format!("request {i} ({lo}, {hi}]: {e}"))?;
+        if value.map(f64::to_bits) != expect.map(f64::to_bits) {
+            return Err(format!("request {i} ({lo}, {hi}]: served answer diverged from {what}"));
+        }
+        match value {
+            Some(v) => out.push_str(&format!("{v}\n")),
+            None => out.push_str("NaN\n"),
+        }
+    }
+    print!("{out}");
+    Ok(())
+}
+
+/// Start the serving engine over a dynamic (`PFD2`) index file. Only
+/// dynamic files retain their record set — the compacted base plus any
+/// still-buffered deltas, which the engine's dedup-sum ingest folds back
+/// into one ground truth — and the engine partitions it into `shards`
+/// key ranges. With `wal`, every shard journals to `<dir>/shard-<id>` and
+/// acks only after its batch's group fsync, so `recover` can rebuild the
+/// served state.
+fn start_engine(
     index: &str,
     bytes: &[u8],
-    ranges: &[(f64, f64)],
-    opts: ShardServeOpts<'_>,
-) -> Result<(), String> {
-    let ShardServeOpts { clients, window_us, batch_cap, shards, wal } = opts;
+    shards: usize,
+    window_us: u64,
+    batch_cap: usize,
+    wal: Option<&str>,
+) -> Result<ShardedServer, String> {
     if kind_of(bytes) != Some("dynamic") {
         return Err(format!(
-            "{index}: sharded serving needs the record set, which only dynamic (PFD2) \
-             index files retain — rebuild with `build --dynamic`, or drop --shards"
+            "{index}: --shards and --wal serve mutable state through the sharded engine, \
+             which needs the record set only dynamic (PFD2) index files retain — rebuild \
+             with `build --dynamic`, or drop --shards/--wal"
         ));
     }
     let dynamic = DynamicPolyFitSum::from_bytes(bytes).map_err(|e| e.to_string())?;
@@ -163,9 +211,7 @@ fn serve_sharded(
         max_shards: shards.max(16),
         ..Default::default()
     };
-    let server = match wal {
-        // Durable serving: every shard journals to `<dir>/shard-<id>`
-        // and acks only after its batch's group fsync.
+    match wal {
         Some(dir) => ShardedServer::start_with_wal(
             records,
             dynamic.delta(),
@@ -174,164 +220,10 @@ fn serve_sharded(
             Path::new(dir),
             SyncPolicy::Batch,
         )
-        .map_err(|e| e.to_string())?,
+        .map_err(|e| e.to_string()),
         None => ShardedServer::start(records, dynamic.delta(), dynamic.config(), cfg)
-            .map_err(|e| e.to_string())?,
-    };
-    let t0 = Instant::now();
-    let mut answers: Vec<Option<ShardServed>> = vec![None; ranges.len()];
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let handle = server.handle();
-                s.spawn(move || {
-                    let mut out = Vec::with_capacity(ranges.len() / clients + 1);
-                    let mut i = c;
-                    while i < ranges.len() {
-                        let (lo, hi) = ranges[i];
-                        out.push((i, handle.query_served(lo, hi)));
-                        i += clients;
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, served) in h.join().expect("serve client panicked") {
-                answers[i] = Some(served);
-            }
-        }
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let control = server.handle();
-    let mut max_batch_seen = 0usize;
-    for (i, &(lo, hi)) in ranges.iter().enumerate() {
-        let served = answers[i].as_ref().expect("every request was answered");
-        if served.poisoned {
-            return Err(format!("request {i} ({lo}, {hi}]: poisoned — a shard worker was lost"));
-        }
-        let snap = control.snapshot_query(lo, hi);
-        if served.value().map(f64::to_bits) != snap.value().map(f64::to_bits) {
-            return Err(format!(
-                "request {i} ({lo}, {hi}]: served answer diverged from composed snapshot read"
-            ));
-        }
-        max_batch_seen = max_batch_seen.max(served.batch_len);
+            .map_err(|e| e.to_string()),
     }
-    let stats = server.shutdown();
-    let mut out = String::with_capacity(ranges.len() * 16);
-    for served in answers.iter().flatten() {
-        match served.value() {
-            Some(v) => out.push_str(&format!("{v}\n")),
-            None => out.push_str("NaN\n"),
-        }
-    }
-    print!("{out}");
-    println!(
-        "# served {} requests in {:.3} ms ({:.0} req/s) — {} shards, {} spanning, \
-         max batch {max_batch_seen}, bitwise-verified",
-        stats.submitted,
-        wall * 1e3,
-        stats.submitted as f64 / wall,
-        stats.shards.len(),
-        stats.spanning,
-    );
-    Ok(())
-}
-
-/// `serve --wal <dir>` without shards: the single dynamic serving loop
-/// with a journal attached. The loaded index seeds a fresh checkpoint
-/// under `<dir>/serve.{ckpt,wal}`; the loop group-commits the log after
-/// every update drain, so an acked write is durable before any query
-/// from the same window is answered. A file replay submits no updates,
-/// which keeps the state stable for the bitwise verification below —
-/// `recover` can rebuild this exact state from `<dir>` afterwards.
-fn serve_dynamic_wal(
-    index: &str,
-    bytes: &[u8],
-    ranges: &[(f64, f64)],
-    clients: usize,
-    window_us: u64,
-    batch_cap: usize,
-    wal_dir: &str,
-) -> Result<(), String> {
-    if kind_of(bytes) != Some("dynamic") {
-        return Err(format!(
-            "{index}: WAL-journaled serving mutates a dynamic index, so it needs a \
-             dynamic (PFD2) index file — rebuild with `build --dynamic`, or drop --wal"
-        ));
-    }
-    let mut dynamic = DynamicPolyFitSum::from_bytes(bytes).map_err(|e| e.to_string())?;
-    dynamic
-        .attach_wal(Path::new(wal_dir), "serve", SyncPolicy::Batch, 0)
-        .map_err(|e| format!("cannot start journal in {wal_dir}: {e}"))?;
-    let server = DynamicServer::start(
-        dynamic,
-        DynamicServeConfig {
-            deadline: Duration::from_micros(window_us),
-            max_batch: batch_cap,
-            // Frozen during a replay: compaction would re-segment the
-            // base mid-run and the bitwise check below compares every
-            // served answer against the final quiesced state.
-            compaction_budget: 0,
-        },
-    );
-    let t0 = Instant::now();
-    let mut answers: Vec<Option<Served>> = vec![None; ranges.len()];
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let handle = server.handle();
-                s.spawn(move || {
-                    let mut out = Vec::with_capacity(ranges.len() / clients + 1);
-                    let mut i = c;
-                    while i < ranges.len() {
-                        let (lo, hi) = ranges[i];
-                        out.push((i, handle.query_served(lo, hi)));
-                        i += clients;
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, served) in h.join().expect("serve client panicked") {
-                answers[i] = Some(served);
-            }
-        }
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let (mut recovered, stats) = server.shutdown();
-    let mut max_batch_seen = 0usize;
-    for (i, &(lo, hi)) in ranges.iter().enumerate() {
-        let served = answers[i].expect("every request was answered");
-        let direct = AggregateIndex::query(&recovered, lo, hi);
-        if served.answer.map(|a| a.value.to_bits()) != direct.map(|a| a.value.to_bits()) {
-            return Err(format!(
-                "request {i} ({lo}, {hi}]: served answer diverged from direct query"
-            ));
-        }
-        max_batch_seen = max_batch_seen.max(served.batch_len);
-    }
-    // Final group commit; the journal now covers everything acked.
-    recovered.detach_wal().map_err(|e| format!("journal shutdown sync failed: {e}"))?;
-    let mut out = String::with_capacity(ranges.len() * 16);
-    for served in answers.iter().flatten() {
-        match served.answer {
-            Some(a) => out.push_str(&format!("{}\n", a.value)),
-            None => out.push_str("NaN\n"),
-        }
-    }
-    print!("{out}");
-    println!(
-        "# served {} requests in {:.3} ms ({:.0} req/s) — journaled to {wal_dir}, \
-         {} batches, max batch {max_batch_seen}, bitwise-verified",
-        stats.requests,
-        wall * 1e3,
-        stats.requests as f64 / wall,
-        stats.batches,
-    );
-    Ok(())
 }
 
 /// Execute a parsed command.
@@ -512,7 +404,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
             index,
             requests,
             clients,
-            workers,
             window_us,
             batch_cap,
             shards,
@@ -531,100 +422,79 @@ pub fn run(cmd: Command) -> Result<(), String> {
             let text = fs::read_to_string(&requests)
                 .map_err(|e| format!("cannot read {requests}: {e}"))?;
             let ranges = parse_ranges(&text).map_err(|e| format!("{requests}: {e}"))?;
-            if shards >= 1 {
-                return serve_sharded(
-                    &index,
-                    &bytes,
+            if shards.is_none() && wal.is_none() {
+                // An immutable index needs no serving loop: every client
+                // thread queries the one shared index directly.
+                let shared: SharedIndex =
+                    Arc::from(load_index(&bytes).map_err(|e| format!("{index} is {e}"))?);
+                let (answers, wall) =
+                    replay(&ranges, clients, || |lo, hi| Ok(shared.query(lo, hi).map(|a| a.value)));
+                let batch = shared.query_batch(&ranges);
+                verify_and_print(
                     &ranges,
-                    ShardServeOpts { clients, window_us, batch_cap, shards, wal: wal.as_deref() },
+                    &answers,
+                    batch.iter().map(|a| a.map(|a| a.value)),
+                    "query_batch",
+                )?;
+                println!(
+                    "# served {} requests in {:.3} ms ({:.0} req/s) — answered directly on \
+                     {clients} client threads, bitwise-verified against query_batch",
+                    ranges.len(),
+                    wall * 1e3,
+                    ranges.len() as f64 / wall,
                 );
+                return Ok(());
             }
-            if let Some(dir) = wal {
-                return serve_dynamic_wal(
-                    &index, &bytes, &ranges, clients, window_us, batch_cap, &dir,
-                );
-            }
-            let idx = load_index(&bytes).map_err(|e| format!("{index} is {e}"))?;
-            let shared: SharedIndex = Arc::from(idx);
-            let server = Server::start(
-                Arc::clone(&shared),
-                ServeConfig {
-                    workers,
-                    deadline: Duration::from_micros(window_us),
-                    max_batch: batch_cap,
-                },
-            );
-            // Clients split the request stream round-robin and hammer the
-            // loop concurrently; answers come back tagged with their
-            // request position so output stays in file order.
-            let t0 = Instant::now();
-            let mut answers: Vec<Option<Served>> = vec![None; ranges.len()];
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..clients)
-                    .map(|c| {
-                        let handle = server.handle();
-                        let ranges = &ranges;
-                        s.spawn(move || {
-                            let mut out = Vec::with_capacity(ranges.len() / clients + 1);
-                            let mut i = c;
-                            while i < ranges.len() {
-                                let (lo, hi) = ranges[i];
-                                out.push((i, handle.query_served(lo, hi)));
-                                i += clients;
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (i, served) in h.join().expect("serve client panicked") {
-                        answers[i] = Some(served);
+            let server = start_engine(
+                &index,
+                &bytes,
+                shards.unwrap_or(1),
+                window_us,
+                batch_cap,
+                wal.as_deref(),
+            )?;
+            let (answers, wall) = replay(&ranges, clients, || {
+                let handle = server.handle();
+                move |lo, hi| {
+                    let served = handle.query_served(lo, hi);
+                    if served.poisoned {
+                        Err("poisoned — a shard worker was lost".to_string())
+                    } else {
+                        Ok(served.value())
                     }
                 }
             });
-            let wall = t0.elapsed().as_secs_f64();
+            // A replay submits no updates, so the wait-free composed
+            // snapshot read (same per-shard state, same clip-and-merge
+            // composition) is a stable oracle for every served answer.
+            let control = server.handle();
+            let snapshots = ranges.iter().map(|&(lo, hi)| control.snapshot_query(lo, hi).value());
+            let verified = verify_and_print(&ranges, &answers, snapshots, "composed snapshot read");
             let stats = server.shutdown();
-            // Served answers are bitwise-identical to direct queries on
-            // the quiesced index — verify before reporting anything.
-            let mut max_batch_seen = 0usize;
-            for (i, &(lo, hi)) in ranges.iter().enumerate() {
-                let served = answers[i].expect("every request was answered");
-                let direct = shared.query(lo, hi);
-                if served.answer.map(|a| a.value.to_bits()) != direct.map(|a| a.value.to_bits()) {
-                    return Err(format!(
-                        "request {i} ({lo}, {hi}]: served answer diverged from direct query"
-                    ));
-                }
-                max_batch_seen = max_batch_seen.max(served.batch_len);
-            }
-            let mut out = String::with_capacity(ranges.len() * 16);
-            for served in answers.iter().flatten() {
-                match served.answer {
-                    Some(a) => out.push_str(&format!("{}\n", a.value)),
-                    None => out.push_str("NaN\n"),
-                }
-            }
-            print!("{out}");
+            verified?;
             println!(
-                "# served {} requests in {:.3} ms ({:.0} req/s) — {} batches, \
-                 mean batch {:.1}, max batch {max_batch_seen}, bitwise-verified",
-                stats.requests,
+                "# served {} requests in {:.3} ms ({:.0} req/s) — {} shard(s), {} spanning{}, \
+                 bitwise-verified",
+                stats.submitted,
                 wall * 1e3,
-                stats.requests as f64 / wall,
-                stats.batches,
-                stats.requests as f64 / stats.batches.max(1) as f64,
+                stats.submitted as f64 / wall,
+                stats.shards.len(),
+                stats.spanning,
+                wal.map(|dir| format!(", journaled to {dir}")).unwrap_or_default(),
             );
             Ok(())
         }
         Command::Recover { wal, output } => {
             let dir = Path::new(&wal);
             if LayoutLog::exists(dir) {
-                // Sharded WAL: replay the layout lineage, then each
-                // surviving shard independently. The recovered server is
-                // live (and durable again); shut it down cleanly.
-                let (server, reports) =
-                    ShardedServer::recover(dir, ShardConfig::default(), SyncPolicy::Batch)
-                        .map_err(|e| format!("cannot recover {wal}: {e}"))?;
+                // Sharded WAL (what `serve --wal` writes): replay the
+                // layout lineage, then each surviving shard independently.
+                // The recovered server is live (and durable again); with
+                // compaction off it cannot re-segment the recovered state
+                // before shutting down cleanly.
+                let cfg = ShardConfig { compaction_budget: 0, ..ShardConfig::default() };
+                let (server, reports) = ShardedServer::recover(dir, cfg, SyncPolicy::Batch)
+                    .map_err(|e| format!("cannot recover {wal}: {e}"))?;
                 for (id, r) in &reports {
                     println!(
                         "shard-{id}: checkpoint seq {}, replayed {} updates + {} swaps \
@@ -641,10 +511,21 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     "recovered {} shards from {wal} (checkpoints + log tails collapsed)",
                     stats.shards.len()
                 );
-                if output.is_some() {
-                    return Err("--output applies to single-journal recovery; sharded state \
-                         lives in its per-shard checkpoints under the WAL dir"
-                        .into());
+                if let Some(out) = output {
+                    let [(id, _)] = reports.as_slice() else {
+                        return Err(format!(
+                            "--output writes one index, but {wal} holds {} shards; their state \
+                             lives in the per-shard checkpoints under the WAL dir",
+                            reports.len()
+                        ));
+                    };
+                    // Shutdown synced the shard's journal: read it back as
+                    // one index.
+                    let (index, _) = DynamicPolyFitSum::recover(dir, &shard_wal_name(*id))
+                        .map_err(|e| format!("cannot recover {wal}: {e}"))?;
+                    atomic_write(Path::new(&out), &index.to_bytes())
+                        .map_err(|e| format!("cannot write {out}: {e}"))?;
+                    println!("wrote recovered index -> {out}");
                 }
                 Ok(())
             } else {
@@ -1068,15 +949,12 @@ mod tests {
     fn serve_replays_request_file_end_to_end() {
         let idx = built_index("serve-e2e");
         let reqs = tmp("serve-reqs.csv");
-        // Proper, reversed, degenerate, and out-of-domain ranges all flow
-        // through the serving loop (the bitwise check runs inside `run`).
+        // Proper, reversed, degenerate, and out-of-domain ranges are all
+        // answered directly on the client threads (the bitwise check
+        // against query_batch runs inside `run`).
         fs::write(&reqs, "10,500\n900,100\n# comment\n5,5\n-50,-10\n0,999\n").unwrap();
-        run(parse(&argv(&format!(
-            "serve --index {idx} --requests {reqs} --clients 2 --workers 2 \
-             --window-us 100 --batch-cap 8"
-        )))
-        .unwrap())
-        .unwrap();
+        run(parse(&argv(&format!("serve --index {idx} --requests {reqs} --clients 2"))).unwrap())
+            .unwrap();
         // Malformed request files fail up front with the line number.
         let bad = tmp("serve-bad.csv");
         fs::write(&bad, "1,2\nnope\n").unwrap();
@@ -1116,7 +994,8 @@ mod tests {
                 .unwrap())
             .unwrap_err();
         assert!(err.contains("PFD2"), "{err}");
-        // The dynamic file also flows through info and the loop path.
+        // The dynamic file also flows through info, and without --shards
+        // or --wal it is answered directly like any immutable index.
         run(parse(&argv(&format!("info --index {idx}"))).unwrap()).unwrap();
         run(parse(&argv(&format!("serve --index {idx} --requests {reqs} --clients 2"))).unwrap())
             .unwrap();
@@ -1194,11 +1073,55 @@ mod tests {
         // Sharded recovery replays the layout journal + every shard.
         run(parse(&argv(&format!("info --index {idx} --wal {wal}"))).unwrap()).unwrap();
         run(parse(&argv(&format!("recover --wal {wal}"))).unwrap()).unwrap();
-        // --output is a single-journal affordance.
+        // --output writes one index, so two shards are refused.
         let out = tmp("wal-sharded-out.pfd");
         let err =
             run(parse(&argv(&format!("recover --wal {wal} --output {out}"))).unwrap()).unwrap_err();
-        assert!(err.contains("single-journal"), "{err}");
+        assert!(err.contains("holds 2 shards"), "{err}");
+    }
+
+    #[test]
+    fn crafted_counts_end_in_typed_errors_not_aborts() {
+        // A 44-byte PFS2 file whose segment count reads u32::MAX.
+        let mut pfs2 = b"PFS2".to_vec();
+        pfs2.extend_from_slice(&0u32.to_le_bytes());
+        for v in [1.0f64, 10.0, 0.0, 9.0] {
+            pfs2.extend_from_slice(&v.to_le_bytes());
+        }
+        pfs2.extend_from_slice(&u32::MAX.to_le_bytes());
+        let idx = tmp("crafted-count.pf");
+        fs::write(&idx, &pfs2).unwrap();
+        let err = run(parse(&argv(&format!("info --index {idx}"))).unwrap()).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+        // A 16-byte layout checkpoint with a valid FNV-1a checksum and
+        // shard count u32::MAX.
+        let wal = wal_dir("crafted-layout");
+        fs::create_dir_all(&wal).unwrap();
+        let body = u32::MAX.to_le_bytes();
+        let fnv = body
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3));
+        let mut layout = b"PFL1".to_vec();
+        layout.extend_from_slice(&fnv.to_le_bytes());
+        layout.extend_from_slice(&body);
+        fs::write(Path::new(&wal).join("layout.ckpt"), &layout).unwrap();
+        let err = run(parse(&argv(&format!("recover --wal {wal}"))).unwrap()).unwrap_err();
+        assert!(err.contains("cannot recover") && err.contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn recover_reads_single_journal_dirs_from_earlier_builds() {
+        // Earlier builds' `serve --wal` journaled one index as `serve.*`.
+        let wal = wal_dir("single-journal");
+        let records: Vec<Record> = (0..800).map(|i| Record::new(i as f64, 1.0)).collect();
+        let mut live =
+            DynamicPolyFitSum::new(records, 20.0, PolyFitConfig::default(), 4096).unwrap();
+        live.attach_wal(Path::new(&wal), "serve", SyncPolicy::Batch, 0).unwrap();
+        live.insert(10.5, 3.0);
+        live.detach_wal().unwrap();
+        let out = tmp("single-journal-recovered.pfd");
+        run(parse(&argv(&format!("recover --wal {wal} --output {out}"))).unwrap()).unwrap();
+        assert_eq!(fs::read(&out).unwrap(), live.to_bytes(), "recovered bytes are the live state");
     }
 
     #[test]

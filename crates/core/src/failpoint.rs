@@ -1,7 +1,7 @@
 //! Deterministic fault injection: named failpoint sites threaded through
 //! the concurrency- and durability-critical layers (`dynamic` compaction,
-//! the `serve` loop, `shard` rebalancing, and the `wal` write path via its
-//! `VirtualFile` seam).
+//! the `shard` worker and its rebalancing, and the `wal` write path via
+//! its `VirtualFile` seam).
 //!
 //! ## Model
 //!
@@ -91,17 +91,12 @@ pub const DYNAMIC_SITES: &[&str] = &[
     "dynamic.swap.panic",  // die at the start of the shadow-index swap
 ];
 
-/// Failpoint sites in the `serve` layer (deadline-batched loop).
-pub const SERVE_SITES: &[&str] = &[
-    "serve.loop.stall",     // stall the loop head while clients pile up
-    "serve.batch.oversize", // ignore max_batch: drain the whole queue
-    "serve.fence.skip",     // skip the group-commit fence once, force it later
-    "serve.drain.panic",    // die while draining the write window
-];
-
-/// Failpoint sites in the `shard` layer (rebalance protocol + queues).
+/// Failpoint sites in the `shard` layer (worker, rebalance protocol,
+/// queues).
 pub const SHARD_SITES: &[&str] = &[
-    "shard.worker.panic",      // die at the top of a batch
+    "shard.worker.panic",      // die or stall with a drained batch in hand
+    "shard.batch.oversize",    // one batch window ignores max_batch
+    "shard.fence.skip",        // skip one query-ack fence, forced later
     "shard.split.pre_publish", // split: after children built, before layout publish
     "shard.split.post_close",  // split: after the old queue closed
     "shard.merge.handoff",     // merge: before mailing the survivor

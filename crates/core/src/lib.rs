@@ -59,7 +59,6 @@ pub mod index_sum;
 pub mod segment;
 pub mod segmentation;
 pub mod serialize;
-pub mod serve;
 pub mod shard;
 pub mod stats;
 pub mod traits;
@@ -87,10 +86,6 @@ pub use index_sum::PolyFitSum;
 pub use segment::Segment;
 pub use segmentation::{dp_segmentation, greedy_segmentation, SegmentSpec};
 pub use serialize::{decode_wal_record, encode_wal_record, DecodeError, WalRecord};
-pub use serve::{
-    DynamicServeConfig, DynamicServeHandle, DynamicServer, ServeConfig, ServeHandle, ServeStats,
-    Served, Server, Ticket,
-};
 pub use shard::{
     RebalanceRecord, ShardConfig, ShardHandle, ShardPoint, ShardServed, ShardStats, ShardTicket,
     ShardedHistory, ShardedOracle, ShardedServer, ShardedStats,
@@ -121,10 +116,6 @@ pub mod prelude {
     };
     pub use crate::index_max::PolyFitMax;
     pub use crate::index_sum::PolyFitSum;
-    pub use crate::serve::{
-        DynamicServeConfig, DynamicServeHandle, DynamicServer, ServeConfig, ServeHandle,
-        ServeStats, Served, Server, Ticket,
-    };
     pub use crate::shard::{
         ShardConfig, ShardHandle, ShardPoint, ShardServed, ShardTicket, ShardedOracle,
         ShardedServer, ShardedStats,

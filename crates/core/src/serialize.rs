@@ -127,12 +127,19 @@ fn write_segments(w: &mut Writer, segments: &[Segment]) {
     }
 }
 
+/// The smallest encoded segment: five `f64` fields plus the `u32`
+/// coefficient count (a segment with no coefficients).
+const MIN_SEGMENT_BYTES: usize = 5 * 8 + 4;
+
 fn read_segments(r: &mut Reader<'_>) -> Result<Vec<Segment>, DecodeError> {
     let count = r.u32()? as usize;
     if count == 0 {
         return Err(DecodeError::Corrupt("segment count"));
     }
-    let mut segments = Vec::with_capacity(count);
+    // The count comes from the file: pre-allocate only what the bytes
+    // left could hold, so a corrupt count ends in `Truncated`, not in an
+    // allocation abort.
+    let mut segments = Vec::with_capacity(count.min(r.remaining() / MIN_SEGMENT_BYTES));
     for _ in 0..count {
         let lo_key = r.finite("lo_key")?;
         let hi_key = r.finite("hi_key")?;
@@ -669,6 +676,25 @@ mod tests {
         // Corrupt delta (magic + flags word precede it) with a NaN.
         bytes[8..16].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(matches!(PolyFitSum::from_bytes(&bytes), Err(DecodeError::Corrupt("delta"))));
+    }
+
+    #[test]
+    fn huge_segment_count_is_truncated_not_an_allocation_abort() {
+        // A 44-byte header whose segment count reads u32::MAX: sizing the
+        // segment vector from the count alone asked for 343 GB.
+        let mut bytes = b"PFS2".to_vec();
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        for v in [1.0f64, 10.0, 0.0, 9.0] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 44);
+        assert!(matches!(PolyFitSum::from_bytes(&bytes), Err(DecodeError::Truncated)));
+        let mut max = b"PFM2".to_vec();
+        max.extend_from_slice(&bytes[8..16]);
+        max.extend_from_slice(&0u32.to_le_bytes());
+        max.extend_from_slice(&bytes[24..]);
+        assert!(matches!(PolyFitMax::from_bytes(&max), Err(DecodeError::Truncated)));
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! Shard-per-core serving: shared-nothing key-space shards behind an
-//! epoch-published routing layout (the ROADMAP "sharded serving" item).
+//! epoch-published routing layout — the serving engine for mutable
+//! state.
 //!
-//! The PR 5 loops funnel every request through one global
-//! `Mutex`/`Condvar` pair — at ~1.65 M req/s the coordination costs ~17×
-//! more than the 77 ns query it wraps. [`ShardedServer`] removes the
-//! global rendezvous entirely:
+//! A worker drains each batch's writes before answering its reads,
+//! fences group commit at ack points, steps compaction in idle gaps and
+//! fail-stops on worker death. One shard (the default) is a single-writer
+//! serving loop; more shards partition the key space. Immutable indexes
+//! need none of this: every index is `Send + Sync`, so client threads
+//! call [`crate::traits::AggregateIndex::query`] on a shared
+//! [`crate::traits::SharedIndex`] directly — a direct query costs tens of
+//! nanoseconds, far less than any queue round trip a loop would add.
 //!
 //! * **Shared-nothing shards.** The key space is partitioned into
 //!   contiguous ranges `(B_{i-1}, B_i]`; each shard is one worker thread
 //!   owning its own [`DynamicPolyFitSum`] and a private request queue.
 //!   No mutex is shared between shards on the hot path.
 //! * **Spin-then-park wakeups.** Queues and answer slots hand off with
-//!   an atomic length/flag plus `thread::park` — a `notify_all` syscall
-//!   per submission (the dominant cost of the PR 5 loop) becomes a plain
-//!   atomic store unless someone is actually asleep.
+//!   an atomic length/flag plus `thread::park` — a submission is a plain
+//!   atomic store, not a `notify_all` syscall, unless someone is actually
+//!   asleep.
 //! * **Epoch-published snapshots.** The routing table ([`Layout`]) and
 //!   every shard's frozen view ([`DynamicSnapshot`]) are published
 //!   through [`crate::epoch`]: compaction swaps and shard rebalances are
@@ -34,8 +39,8 @@
 //! determinism. Every served answer carries a per-shard provenance
 //! vector of [`ShardPoint`]s — `(shard, clipped range, updates_applied,
 //! rebuilds, epoch)` — and the server records, per shard, the applied
-//! update stream, the compaction stage points (the PR 5 provenance,
-//! now per shard), and every split/merge ([`RebalanceRecord`]).
+//! update stream, the compaction stage points, and every split/merge
+//! ([`RebalanceRecord`]).
 //! [`ShardedOracle`] replays that history offline: it reconstructs each
 //! shard's exact index state at its provenance point (split children
 //! are re-derived by replaying the parent to its final state and
@@ -158,10 +163,10 @@ impl ShardConfig {
 
 /// One shard's contribution to a served answer: the clipped sub-range it
 /// answered and the exact index state it answered from. The triple
-/// `(updates_applied, rebuilds, epoch)` extends the PR 5 provenance
-/// counters per shard — [`ShardedOracle::index_at`] reconstructs the
-/// state bit-for-bit from the first two; `epoch` names the published
-/// snapshot that carries the same state.
+/// `(updates_applied, rebuilds, epoch)` pins that state —
+/// [`ShardedOracle::index_at`] reconstructs it bit-for-bit from the
+/// first two; `epoch` names the published snapshot that carries the same
+/// state.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ShardPoint {
     /// Shard id (stable across its lifetime; splits and merges mint new
@@ -586,8 +591,7 @@ impl Layout {
 // ---------------------------------------------------------------------------
 
 /// One shard's recorded serving history: the applied update stream plus
-/// the `updates_applied` value at which each compaction was staged (the
-/// PR 5 stage log, per shard).
+/// the `updates_applied` value at which each compaction was staged.
 #[derive(Clone, Debug, Default)]
 pub struct ShardLog {
     /// Updates in application order.
@@ -644,7 +648,7 @@ pub struct ShardedHistory {
 /// The WAL log-segment name owned by shard `id`: `shard-{id}`. Split and
 /// merge children mint fresh ids, so every shard's journal lives in its
 /// own files and replays independently.
-fn shard_wal_name(id: u64) -> String {
+pub fn shard_wal_name(id: u64) -> String {
     format!("shard-{id}")
 }
 
@@ -895,8 +899,9 @@ impl ShardHandle {
         ShardServed { answer: agg, shards, batch_len: 0, poisoned: false }
     }
 
-    /// Enqueue a write, routed to the owning shard (fire-and-forget;
-    /// validated eagerly like the PR 5 handle).
+    /// Enqueue a write, routed to the owning shard (fire-and-forget).
+    /// Finiteness is validated here, so a rejected update never occupies
+    /// queue space and a worker's drain cannot fail.
     ///
     /// # Panics
     /// Panics if the server has been shut down.
@@ -1516,13 +1521,20 @@ impl Worker {
     fn collect_window(&mut self) -> Vec<Req> {
         let cfg = &self.shared.cfg;
         let queue = &self.rt.queue;
+        // Failpoint: this window ignores `max_batch` and collects until
+        // its deadline. Answers must not depend on batch geometry.
+        let max_batch = if crate::failpoint::triggered("shard.batch.oversize") {
+            usize::MAX
+        } else {
+            cfg.max_batch
+        };
         let mut out = Vec::new();
         let opened = Instant::now();
         loop {
-            if out.len() < cfg.max_batch {
-                queue.pop_many(cfg.max_batch - out.len(), &mut out);
+            if out.len() < max_batch {
+                queue.pop_many(max_batch - out.len(), &mut out);
             }
-            if out.len() >= cfg.max_batch
+            if out.len() >= max_batch
                 || queue.closed.load(SeqCst)
                 || opened.elapsed() >= cfg.deadline
             {
@@ -1536,15 +1548,16 @@ impl Worker {
     }
 
     /// Apply the batch: drain writes first (every answer in the batch
-    /// reflects one quiesced state — the PR 5 contract), publish, then
-    /// answer all sub-queries with one engine-batched call.
+    /// reflects one quiesced state), publish, then answer all sub-queries
+    /// with one engine-batched call.
     fn process_batch(&mut self, batch: Vec<Req>) {
         if batch.is_empty() {
             return;
         }
-        // Failpoint: worker death with a drained batch in hand. The
-        // unwind drop-poisons every request in `batch`, and the
-        // `WorkerFailStop` guard fail-stops the server.
+        // Failpoint: worker death (or a stall) with a drained batch in
+        // hand, nothing of it applied or journaled. A panic drop-poisons
+        // every request in `batch` and the `WorkerFailStop` guard
+        // fail-stops the server; recovery replays the synced prefix.
         crate::failpoint::hit("shard.worker.panic");
         let mut queries: Vec<SubQuery> = Vec::new();
         let mut handoff: Option<Box<MergeHandoff>> = None;
@@ -1580,7 +1593,16 @@ impl Worker {
         // layout changes. Fail-stop on a dead log device: the panic
         // poisons the in-flight requests rather than acking non-durable
         // state.
-        if !queries.is_empty() || handoff.is_some() {
+        //
+        // Failpoint: skip one query-ack fence (never a merge handoff's).
+        // `wal_dirty` stays set, so the next boundary — idle park, next
+        // batch, rebalance or shutdown — forces the sync: injection can
+        // delay a fence, never elide it.
+        let skip_ack = self.wal_dirty
+            && handoff.is_none()
+            && !queries.is_empty()
+            && crate::failpoint::triggered("shard.fence.skip");
+        if (!queries.is_empty() || handoff.is_some()) && !skip_ack {
             self.wal_fence();
         }
         self.maybe_publish();
@@ -2268,6 +2290,48 @@ mod tests {
             assert!(!served.poisoned && served.answer.is_some(), "query {i}");
         }
         server.shutdown();
+    }
+
+    #[test]
+    fn deadline_window_coalesces_tickets_into_batches() {
+        // One shard, generous window: tickets submitted back-to-back must
+        // coalesce into shared sweeps.
+        let server = ShardedServer::start(
+            records(1000),
+            10.0,
+            capped(),
+            ShardConfig {
+                deadline: Duration::from_millis(100),
+                max_batch: 64,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let handle = server.handle();
+        let tickets: Vec<ShardTicket> = (0..64).map(|i| handle.submit(i as f64, 450.0)).collect();
+        let mut max_batch = 0;
+        for (i, t) in tickets.into_iter().enumerate() {
+            let served = t.wait();
+            assert!(!served.poisoned, "ticket {i}");
+            let direct = handle.snapshot_query(i as f64, 450.0);
+            assert_eq!(served.value().map(f64::to_bits), direct.value().map(f64::to_bits));
+            max_batch = max_batch.max(served.batch_len);
+        }
+        assert!(max_batch >= 2, "a 100ms window must coalesce back-to-back submissions");
+        server.shutdown();
+    }
+
+    #[test]
+    fn handle_rejects_non_finite_updates_eagerly() {
+        let server = ShardedServer::start(records(200), 5.0, capped(), Default::default()).unwrap();
+        let handle = server.handle();
+        assert!(handle.insert(f64::NAN, 1.0).is_err());
+        assert!(handle.delete(1.0, f64::INFINITY).is_err());
+        assert!(handle.insert(1.25, 2.0).is_ok());
+        assert!(handle.query(0.0, 50.0).is_some());
+        let stats = server.shutdown();
+        assert_eq!(stats.shards[0].updates_applied, 1, "rejected updates never reach a worker");
+        assert_eq!(stats.shards[0].buffered, 1, "only the finite update may land");
     }
 
     #[test]

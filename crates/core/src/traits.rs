@@ -869,16 +869,19 @@ macro_rules! delegate_aggregate_index_2d {
 delegate_aggregate_index!(&T, Box<T>, std::rc::Rc<T>, std::sync::Arc<T>);
 delegate_aggregate_index_2d!(&T, Box<T>, std::rc::Rc<T>, std::sync::Arc<T>);
 
-/// A shareable, thread-safe aggregate index — the form the serving layer
-/// ([`crate::serve`]) answers from. [`AggregateIndex`] deliberately does
-/// *not* require `Send + Sync` (single-threaded harnesses share
-/// structures behind `Rc`), so concurrent consumers name the bound at the
-/// trait-object level instead.
+/// A shareable, thread-safe aggregate index. An immutable index needs no
+/// serving loop: any number of client threads call
+/// [`AggregateIndex::query`] on one `SharedIndex` directly (this is how
+/// `polyfit-cli serve` answers static files), while mutable state is
+/// served through [`crate::shard::ShardedServer`]. [`AggregateIndex`]
+/// deliberately does *not* require `Send + Sync` (single-threaded
+/// harnesses share structures behind `Rc`), so concurrent consumers name
+/// the bound at the trait-object level instead.
 pub type SharedIndex = std::sync::Arc<dyn AggregateIndex + Send + Sync>;
 
-// Object-safety and thread-safety audit: the serving layer holds every
-// index as `Arc<dyn AggregateIndex + Send + Sync>` and fans queries out
-// across worker threads, so (a) both traits must stay object safe and
+// Object-safety and thread-safety audit: concurrent callers hold an
+// index as `Arc<dyn AggregateIndex + Send + Sync>` and query it from many
+// threads at once, so (a) both traits must stay object safe and
 // (b) every index meant to be served must be `Send + Sync`. Compile-time
 // assertions so a regression fails the build, not a production serve.
 const _: () = {

@@ -174,10 +174,10 @@ impl From<PolyFitError> for WalError {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Group commit: appends buffer in memory until [`Journal::sync`] —
-    /// one write + fsync per serve-loop batch. The default; an update is
-    /// durable once the batch that carried it has been synced, which the
-    /// serving loop guarantees before answering any query from that
-    /// window.
+    /// one write + fsync per shard-worker ack point. The default; an
+    /// update is durable once the batch that carried it has been synced,
+    /// which the shard worker guarantees before answering any query from
+    /// that window.
     Batch,
     /// Fsync on every appended update — the strict (and slow) mode the
     /// durability bench compares against.
@@ -995,7 +995,9 @@ fn decode_layout(bytes: &[u8]) -> Result<LayoutCheckpoint, WalError> {
     if n == 0 {
         return Err(DecodeError::Corrupt("layout shard count").into());
     }
-    let mut ids = Vec::with_capacity(n);
+    // A corrupt count must end in `Truncated`, not an allocation abort:
+    // pre-allocate only as many 8-byte ids as the bytes left could hold.
+    let mut ids = Vec::with_capacity(n.min(r.remaining() / 8));
     for _ in 0..n {
         ids.push(r.u64().map_err(WalError::Decode)?);
     }
@@ -1275,6 +1277,54 @@ mod tests {
             Err(WalError::Decode(DecodeError::Corrupt("checkpoint checksum")))
         ));
         assert!(matches!(read_checkpoint(&dir.join("absent.ckpt")), Err(WalError::Missing(_))));
+    }
+
+    #[test]
+    fn crafted_counts_in_recovery_files_end_in_typed_errors() {
+        use crate::config::PolyFitConfig;
+        use crate::shard::{ShardConfig, ShardedServer};
+        use polyfit_exact::dataset::Record;
+
+        let dir = tmp_dir("crafted-counts");
+        let records: Vec<Record> = (0..200).map(|i| Record::new(i as f64, 1.0)).collect();
+        let cfg = ShardConfig::default();
+        ShardedServer::start_with_wal(
+            records,
+            5.0,
+            PolyFitConfig::default(),
+            cfg,
+            &dir,
+            SyncPolicy::Batch,
+        )
+        .unwrap()
+        .shutdown();
+        // A PFD2 shard checkpoint whose base is a 44-byte PFS2 file with
+        // segment count u32::MAX (was a 343 GB allocation abort).
+        let mut base = b"PFS2".to_vec();
+        base.extend_from_slice(&0u32.to_le_bytes());
+        for v in [1.0f64, 10.0, 0.0, 9.0] {
+            base.extend_from_slice(&v.to_le_bytes());
+        }
+        base.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut pfd2 = b"PFD2".to_vec();
+        pfd2.extend_from_slice(&5.0f64.to_le_bytes());
+        // degree, backend, max_segment_len, buffer_limit, rebuilds, base_len
+        for v in [2u32, 0, 0, 1024, 0, base.len() as u32] {
+            pfd2.extend_from_slice(&v.to_le_bytes());
+        }
+        pfd2.extend_from_slice(&base);
+        atomic_write(&checkpoint_path(&dir, "shard-0"), &encode_checkpoint(0, 0, &pfd2)).unwrap();
+        let err = ShardedServer::recover(&dir, cfg, SyncPolicy::Batch).err();
+        assert!(matches!(err, Some(WalError::Decode(DecodeError::Truncated))), "{err:?}");
+        // A 16-byte layout checkpoint with a valid checksum and shard count
+        // u32::MAX (was a 34 GB allocation abort).
+        let body = u32::MAX.to_le_bytes();
+        let mut layout = MAGIC_LAYOUT.to_vec();
+        layout.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        layout.extend_from_slice(&body);
+        fs::write(checkpoint_path(&dir, LAYOUT_NAME), &layout).unwrap();
+        let err = ShardedServer::recover(&dir, cfg, SyncPolicy::Batch).err();
+        assert!(matches!(err, Some(WalError::Decode(DecodeError::Truncated))), "{err:?}");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 #![cfg(feature = "failpoints")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -28,7 +28,7 @@ use polyfit_suite::exact::dataset::Record;
 use polyfit_suite::polyfit::failpoint::{self, Schedule};
 use polyfit_suite::polyfit::prelude::*;
 use polyfit_suite::polyfit::wal as pwal;
-use polyfit_suite::polyfit::{DynamicServeConfig, ShardConfig};
+use polyfit_suite::polyfit::ShardConfig;
 
 /// One registry, many tests: take this before touching failpoints. A
 /// panicking test (several tests *expect* panics) must not wedge the
@@ -133,7 +133,7 @@ fn schedules_roundtrip_through_display_and_parse() {
             seed,
             &[
                 ("dynamic.step.skip", &["trigger"]),
-                ("serve.fence.skip", &["trigger"]),
+                ("shard.fence.skip", &["trigger"]),
                 ("wal.fsync.err", &["error"]),
                 ("shard.worker.panic", &["panic", "delay(2)"]),
             ],
@@ -269,62 +269,93 @@ fn swap_panic_recovers_bitwise_to_preswap_journal() {
 }
 
 // ---------------------------------------------------------------------------
-// Serve loop: stalls, oversized batches, skipped fences, drain panics
+// Engine with a WAL: stalls, oversized batches, skipped fences, worker death
 // ---------------------------------------------------------------------------
+
+/// A one-shard engine journaling to `dir` under `policy`, recording its
+/// history so a [`ShardedOracle`] can replay every answer.
+fn wal_engine(
+    dir: &Path,
+    buffer_limit: usize,
+    compaction_budget: usize,
+    policy: SyncPolicy,
+) -> ShardedServer {
+    let cfg = ShardConfig {
+        deadline: Duration::from_micros(30),
+        max_batch: 4,
+        compaction_budget,
+        buffer_limit,
+        record_history: true,
+        ..ShardConfig::default()
+    };
+    ShardedServer::start_with_wal(base_records(300), 8.0, capped_config(), cfg, dir, policy)
+        .unwrap()
+}
+
+/// Recover a one-shard WAL with compaction off, so the recovered shard
+/// serves exactly the state its journal holds.
+fn recover_frozen(dir: &Path) -> (ShardedServer, RecoveryReport) {
+    let cfg = ShardConfig { compaction_budget: 0, ..ShardConfig::default() };
+    let (server, mut reports) = ShardedServer::recover(dir, cfg, SyncPolicy::Batch).unwrap();
+    assert_eq!(reports.len(), 1, "one shard recovered");
+    (server, reports.remove(0).1)
+}
+
+/// Bitwise probe grid over the workload's key window.
+fn probe_grid(mut answer: impl FnMut(f64, f64) -> ShardServed) -> Vec<ShardServed> {
+    let mut out = Vec::new();
+    for s in 0..40 {
+        let lo = -170.0 + s as f64 * 8.5;
+        for span in [0.0, 5.5, 63.0, 400.0] {
+            out.push(answer(lo, lo + span));
+        }
+    }
+    out
+}
+
+fn bits(served: &[ShardServed]) -> Vec<Option<u64>> {
+    served.iter().map(|s| s.value().map(f64::to_bits)).collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Non-fatal serve-loop schedules over a live `DynamicServer` with a
-    /// WAL attached: stalled sweeps (queue backlog), batches that ignore
-    /// `max_batch`, and ack fences skipped-then-forced. Every served
-    /// answer must replay bitwise at its provenance, the handed-back
-    /// index must equal the full replay, and recovery from the WAL must
-    /// equal the handed-back index — the skipped fence was forced at
-    /// shutdown, never elided.
+    /// Non-fatal schedules over a one-shard engine with a WAL attached:
+    /// stalled batches (the queue absorbs the backlog), windows that
+    /// ignore `max_batch`, and ack fences skipped-then-forced. Every
+    /// served answer must replay bitwise through the [`ShardedOracle`],
+    /// and recovery from the WAL must hold every update and answer like
+    /// the shutdown state — the skipped fence was forced later, never
+    /// elided.
     #[test]
     fn serve_schedules_stay_bitwise_equal(seed in 0u64..u64::MAX) {
         let _g = serial();
         let _d = Disarm;
         let schedule = Schedule::random(seed, &[
-            ("serve.loop.stall", &["delay(2)"]),
-            ("serve.batch.oversize", &["trigger"]),
-            ("serve.fence.skip", &["trigger"]),
-            ("serve.drain.panic", &["delay(1)"]),
+            ("shard.worker.panic", &["delay(1)", "delay(2)"]),
+            ("shard.batch.oversize", &["trigger"]),
+            ("shard.fence.skip", &["trigger"]),
         ]);
         schedule.install().unwrap();
 
         let dir = fresh_wal_dir("serve-sched");
-        let mut index =
-            DynamicPolyFitSum::new(base_records(300), 8.0, capped_config(), 10).unwrap();
-        index.set_step_budget(0);
-        index.attach_wal(&dir, "t", SyncPolicy::Batch, 0).unwrap();
-        let server = polyfit_suite::polyfit::DynamicServer::start(
-            index,
-            DynamicServeConfig {
-                deadline: Duration::from_micros(30),
-                max_batch: 4,
-                compaction_budget: 48,
-            },
-        );
+        let server = wal_engine(&dir, 10, 48, SyncPolicy::Batch);
         let (tx, rx) = mpsc::channel::<(f64, f64)>();
         let qh = server.handle();
         let client = std::thread::spawn(move || {
             let mut seen = Vec::new();
             for (lo, hi) in rx {
-                seen.push((lo, hi, qh.query_served(lo, hi)));
+                seen.push(qh.query_served(lo, hi));
             }
             seen
         });
         let writer = server.handle();
-        let mut updates = Vec::new();
-        for (i, &(ins, k, m)) in update_stream(36).iter().enumerate() {
+        let stream = update_stream(36);
+        for (i, &(ins, k, m)) in stream.iter().enumerate() {
             if ins {
                 writer.insert(k, m).unwrap();
-                updates.push(Update::Insert { key: k, measure: m });
             } else {
                 writer.delete(k, m).unwrap();
-                updates.push(Update::Delete { key: k, measure: m });
             }
             if i % 4 == 0 {
                 let lo = -150.0 + (i as f64 * 11.0) % 280.0;
@@ -332,70 +363,55 @@ proptest! {
             }
         }
         drop(tx);
-        let observed = client.join().expect("client thread panicked");
-        let stage_log = server.stage_log();
-        let (final_index, _stats) = server.shutdown();
-
-        for (i, &(lo, hi, served)) in observed.iter().enumerate() {
-            prop_assert!(!served.poisoned, "schedule '{}': query {} poisoned", schedule, i);
-            let oracle = replay_oracle(
-                300, 8.0, 10, &updates, &stage_log,
-                served.updates_applied, served.rebuilds,
-            );
-            let expect = AggregateIndex::query(&oracle, lo, hi);
-            prop_assert_eq!(
-                served.answer.map(|a| a.value.to_bits()),
-                expect.map(|a| a.value.to_bits()),
-                "schedule '{}': query {} ({}, {}] at ({}, {})",
-                schedule, i, lo, hi, served.updates_applied, served.rebuilds
-            );
+        let mut observed = client.join().expect("client thread panicked");
+        observed.extend(probe_grid(|lo, hi| writer.query_served(lo, hi)));
+        // Coverage proof first (reset clears the counters): every armed
+        // site was evaluated during the live run.
+        for (site, _) in &schedule.0 {
+            prop_assert!(failpoint::hits(site) > 0, "site {} never hit", site);
         }
-        let oracle = replay_oracle(
-            300, 8.0, 10, &updates, &stage_log,
-            updates.len() as u64, final_index.rebuilds() as u64,
-        );
-        if let Err(msg) = assert_bitwise_equal(&final_index, &oracle) {
-            prop_assert!(false, "schedule '{}': final state: {}", schedule, msg);
-        }
-        // Durability: the WAL fence can be delayed, never lost. Disarm
-        // before recovering so injection cannot touch the replay.
+        // The oracle replays quiesced — injection must not reach it.
         failpoint::reset();
-        let (rec, report) = DynamicPolyFitSum::recover(&dir, "t").unwrap();
-        prop_assert_eq!(report.head_seq, updates.len() as u64,
-            "schedule '{}': shutdown must force the skipped fence", schedule);
-        if let Err(msg) = assert_bitwise_equal(&rec, &final_index) {
-            prop_assert!(false, "schedule '{}': recovery: {}", schedule, msg);
+        let oracle = server.oracle();
+        for (i, served) in observed.iter().enumerate() {
+            prop_assert!(!served.poisoned, "schedule '{}': query {} poisoned", schedule, i);
+            prop_assert!(
+                oracle.matches(served),
+                "schedule '{}': query {}: {:?} vs {:?}",
+                schedule, i, served.answer, oracle.expected(served)
+            );
         }
+        server.shutdown();
+        // Durability: each worker's final publish froze the state its
+        // journal must cover, and the fence can be delayed, never lost.
+        let expected = bits(&probe_grid(|lo, hi| writer.snapshot_query(lo, hi)));
+        let (recovered, report) = recover_frozen(&dir);
+        prop_assert_eq!(report.head_seq, stream.len() as u64,
+            "schedule '{}': shutdown must force the skipped fence", schedule);
+        let handle = recovered.handle();
+        let got = bits(&probe_grid(|lo, hi| handle.query_served(lo, hi)));
+        prop_assert!(got == expected, "schedule '{}': recovery diverged", schedule);
+        recovered.shutdown();
     }
 }
 
-/// A panic while draining updates — the worst crash point of the serve
-/// loop: a window was accepted but never applied or journaled. Tickets
-/// poison (never acknowledge), and recovery replays exactly the synced
-/// prefix, bitwise.
+/// Worker death with a drained batch in hand — the worst crash point of
+/// the write path: a window was accepted but never applied or journaled.
+/// Later requests poison (never acknowledge), and recovery replays
+/// exactly the synced prefix — every update the worker applied — bitwise.
 #[test]
 fn drain_panic_poisons_tickets_and_recovers_synced_prefix() {
     let _g = serial();
     let _d = Disarm;
     let dir = fresh_wal_dir("drain-panic");
-    let mut index = DynamicPolyFitSum::new(base_records(300), 8.0, capped_config(), 1_000).unwrap();
-    index.set_step_budget(0);
-    index.attach_wal(&dir, "t", SyncPolicy::EveryUpdate, 0).unwrap();
-    failpoint::configure("serve.drain.panic", "3:panic").unwrap();
-    let server = polyfit_suite::polyfit::DynamicServer::start(
-        index,
-        DynamicServeConfig {
-            deadline: Duration::from_micros(30),
-            max_batch: 4,
-            compaction_budget: 0,
-        },
-    );
+    let server = wal_engine(&dir, 1_000, 0, SyncPolicy::EveryUpdate);
+    failpoint::configure("shard.worker.panic", "3:panic").unwrap();
     let writer = server.handle();
     let stream = update_stream(24);
     for &(ins, k, m) in &stream {
-        // Once the loop dies, the fail-stop guard closes the queue and
-        // later submissions panic by the shutdown contract — loud
-        // refusal, not a silent enqueue into a dead server.
+        // Once the worker dies, the fail-stop guard closes the server and
+        // later writes panic by the shutdown contract — loud refusal, not
+        // a silent enqueue into a dead server.
         let pushed = catch_unwind(AssertUnwindSafe(|| {
             if ins {
                 writer.insert(k, m).unwrap();
@@ -408,33 +424,23 @@ fn drain_panic_poisons_tickets_and_recovers_synced_prefix() {
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    // A query against the dead loop resolves poisoned or is refused
-    // loudly — it must never hang and never answer wrong.
-    // An Err here means the queue was already fail-stopped: refused
-    // loudly, which satisfies the same contract.
-    if let Ok(served) = catch_unwind(AssertUnwindSafe(|| writer.query_served(-50.0, 50.0))) {
-        assert!(served.poisoned || served.answer.is_some());
-    }
-    let shutdown = catch_unwind(AssertUnwindSafe(move || server.shutdown()));
-    assert!(shutdown.is_err(), "shutdown re-raises the loop panic");
-    assert!(failpoint::fired("serve.drain.panic") >= 1, "the armed drain panic fired");
+    assert_eq!(failpoint::fired("shard.worker.panic"), 1, "the armed panic fired");
+    // A query against the dead engine resolves poisoned: never a hang,
+    // never a wrong answer.
+    let served = writer.query_served(-50.0, 50.0);
+    assert!(served.poisoned && served.answer.is_none(), "{served:?}");
+    let oracle = server.oracle();
+    server.shutdown(); // joins the dead worker tolerantly — must return
     failpoint::reset();
-    // Recovery: whatever prefix the journal synced, replayed bitwise.
-    let (rec, report) = DynamicPolyFitSum::recover(&dir, "t").unwrap();
-    let n = report.head_seq as usize;
-    assert!(n <= stream.len());
-    let mut oracle =
-        DynamicPolyFitSum::new(base_records(300), 8.0, capped_config(), 1_000).unwrap();
-    oracle.set_step_budget(0);
-    for &(ins, k, m) in &stream[..n] {
-        if ins {
-            oracle.insert(k, m);
-        } else {
-            oracle.delete(k, m);
-        }
+    let applied = oracle.history().logs.get(&0).map_or(0, |log| log.updates.len());
+    assert!(applied < stream.len(), "the dead worker must stop the stream");
+    let (recovered, report) = recover_frozen(&dir);
+    assert_eq!(report.head_seq as usize, applied, "every applied update was synced");
+    let handle = recovered.handle();
+    for (i, served) in probe_grid(|lo, hi| handle.query_served(lo, hi)).iter().enumerate() {
+        assert!(oracle.matches(served), "probe {i}: {served:?} vs {:?}", oracle.expected(served));
     }
-    assert_eq!(rec.buffered(), oracle.buffered());
-    assert_bitwise_equal(&rec, &oracle).unwrap();
+    recovered.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -782,30 +788,20 @@ fn fsync_error_schedules_are_explored() {
     assert!(fsync_error_schedules >= 1, "the sweep must exercise the fsyncgate path");
 }
 
-/// The serve loop on top of an injected fsync error: group commit at an
-/// ack point hits the dead device, the loop fail-stops (panic, poisoned
-/// tickets), and recovery yields the synced prefix — never an
+/// The engine on top of an injected fsync error: group commit at an ack
+/// point hits the dead device, the worker fail-stops (poisoned answers,
+/// refused writes), and recovery yields the synced prefix — never an
 /// acknowledged-but-lost update.
 #[test]
 fn serve_loop_fail_stops_on_injected_fsync_error() {
     let _g = serial();
     let _d = Disarm;
     let dir = fresh_wal_dir("serve-fsync");
-    let mut index = DynamicPolyFitSum::new(base_records(300), 8.0, capped_config(), 1_000).unwrap();
-    index.set_step_budget(0);
-    index.attach_wal(&dir, "t", SyncPolicy::Batch, 0).unwrap();
+    let server = wal_engine(&dir, 1_000, 0, SyncPolicy::Batch);
     failpoint::configure("wal.fsync.err", "2:error").unwrap();
-    let server = polyfit_suite::polyfit::DynamicServer::start(
-        index,
-        DynamicServeConfig {
-            deadline: Duration::from_micros(30),
-            max_batch: 4,
-            compaction_budget: 0,
-        },
-    );
     let writer = server.handle();
     let stream = update_stream(30);
-    let mut submitted = 0usize;
+    let mut acked = Vec::new();
     for &(ins, k, m) in &stream {
         let step = catch_unwind(AssertUnwindSafe(|| {
             if ins {
@@ -817,25 +813,31 @@ fn serve_loop_fail_stops_on_injected_fsync_error() {
             writer.query_served(-50.0, 50.0)
         }));
         match step {
-            Ok(served) if !served.poisoned => submitted += 1,
-            _ => break, // fail-stopped: poisoned ticket or loud refusal
+            Ok(served) if !served.poisoned => acked.push(served),
+            _ => break, // fail-stopped: poisoned answer or loud refusal
         }
     }
-    let shutdown = catch_unwind(AssertUnwindSafe(move || server.shutdown()));
-    assert!(shutdown.is_err(), "the loop must re-raise the fail-stop panic");
     assert!(failpoint::fired("wal.fsync.err") >= 1);
-    assert!(submitted < stream.len(), "the dead fence must stop the stream");
+    assert!(acked.len() < stream.len(), "the dead fence must stop the stream");
+    let oracle = server.oracle();
+    for (i, served) in acked.iter().enumerate() {
+        assert!(oracle.matches(served), "acked answer {i} diverged from the replay");
+    }
+    server.shutdown(); // joins the dead worker tolerantly — must return
     failpoint::reset();
-    // Every acknowledged window was fenced before its ticket resolved,
+    // Every acknowledged window was fenced before its answer went out,
     // so all of them must survive; the window whose fence failed may or
     // may not (written, never acked). Nothing beyond it exists.
-    let (_rec, report) = DynamicPolyFitSum::recover(&dir, "t").unwrap();
+    let (recovered, report) = recover_frozen(&dir);
     assert!(
-        (report.head_seq as usize) >= submitted && (report.head_seq as usize) <= stream.len(),
+        (report.head_seq as usize) >= acked.len() && (report.head_seq as usize) <= stream.len(),
         "acked windows lost or unappended data invented: {} vs {} acked",
         report.head_seq,
-        submitted
+        acked.len()
     );
+    let served = recovered.handle().query_served(-50.0, 50.0);
+    assert!(oracle.matches(&served), "recovered state diverged from the replay: {served:?}");
+    recovered.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,18 +1,22 @@
-//! Property tests for the concurrent serving layer: interleaved
-//! submit/update streams from multiple client threads, verified
-//! bitwise against a quiesced-index oracle.
+//! Property tests for the serving engine: interleaved submit/update
+//! streams from multiple client threads through [`ShardedServer`],
+//! verified bitwise against the [`ShardedOracle`]'s offline replay (and,
+//! for one shard, against an independent quiesced replay), plus
+//! kill-and-recover durability and immutable indexes answered directly
+//! on client threads.
 //!
-//! The dynamic loop's provenance makes exact verification possible even
-//! though compaction interleaves with serving: every [`Served`] answer
-//! carries `(updates_applied, rebuilds)`, and the server records the
-//! update count at which each rebuild was staged. Replaying the update
-//! prefix, staging at the recorded points, and swapping exactly
-//! `rebuilds` of them reproduces the served index state bit-for-bit —
-//! an in-flight (staged but unswapped) rebuild is bitwise-transparent
-//! (the PR 3 compaction-boundary invariant this suite extends), and a
-//! swapped rebuild's state is a deterministic function of its staged
-//! content (stepped == blocking).
+//! Provenance makes exact verification possible even though compaction
+//! and rebalancing interleave with serving: every [`ShardServed`] answer
+//! carries, per shard, `(updates_applied, rebuilds)`, and the server
+//! records each shard's applied updates, the update count at which each
+//! rebuild was staged, and every split. Replaying the update prefix,
+//! staging at the recorded points, and swapping exactly `rebuilds` of
+//! them reproduces the served index state bit-for-bit — an in-flight
+//! (staged but unswapped) rebuild is bitwise-transparent, and a swapped
+//! rebuild's state is a deterministic function of its staged content
+//! (stepped == blocking).
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -24,7 +28,6 @@ use proptest::prelude::*;
 use polyfit_suite::exact::dataset::Record;
 use polyfit_suite::polyfit::prelude::*;
 use polyfit_suite::polyfit::wal as pwal;
-use polyfit_suite::polyfit::{DynamicServeConfig, PolyFitSum, ServeConfig};
 
 /// One step of the client workload.
 #[derive(Clone, Debug)]
@@ -76,224 +79,39 @@ fn capped_config() -> PolyFitConfig {
     PolyFitConfig { max_segment_len: Some(96), ..PolyFitConfig::default() }
 }
 
-/// Replay the update prefix with the recorded compaction history: stage
-/// at each logged point, swap the first `swaps`, skip the rest. The
-/// result answers bit-for-bit like the serving loop's index did at
-/// provenance `(upto, swaps)`.
-fn replay_oracle(
-    delta: f64,
-    limit: usize,
-    updates: &[Update],
-    stage_log: &[u64],
-    upto: u64,
-    swaps: u64,
-) -> DynamicPolyFitSum {
-    let mut o = DynamicPolyFitSum::new(base_records(600), delta, capped_config(), limit).unwrap();
-    o.set_step_budget(0);
-    let mut si = 0usize;
-    for (i, &u) in updates.iter().take(upto as usize).enumerate() {
-        match u {
-            Update::Insert { key, measure } => o.insert(key, measure),
-            Update::Delete { key, measure } => o.delete(key, measure),
-        }
-        while si < stage_log.len() && stage_log[si] <= (i + 1) as u64 {
-            if (si as u64) < swaps {
-                assert!(o.begin_compaction(), "logged stage {si} must have work");
-                o.compact_now();
-            }
-            si += 1;
-        }
-    }
-    o
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The dynamic loop under interleaved multi-client traffic: one
-    /// writer thread streams updates while two client threads submit
-    /// queries concurrently; every served answer must equal a direct
-    /// query on the quiesced replay of its provenance point — including
-    /// answers served while a compaction was staged or mid-rebuild.
-    #[test]
-    fn served_answers_match_quiesced_replay(
-        ops in ops_strategy(48),
-        delta in 4.0f64..20.0,
-        limit in 4usize..16,
-    ) {
-        let index =
-            DynamicPolyFitSum::new(base_records(600), delta, capped_config(), limit).unwrap();
-        let server = polyfit_suite::polyfit::DynamicServer::start(
-            index,
-            DynamicServeConfig {
-                deadline: Duration::from_micros(30),
-                max_batch: 8,
-                // Tiny budget: rebuilds span many idle gaps, so queries
-                // regularly land mid-compaction.
-                compaction_budget: 48,
-            },
-        );
-        // Two query clients fed round-robin over channels — queries
-        // interleave with the writer from genuinely distinct threads.
-        let mut senders = Vec::new();
-        let mut clients = Vec::new();
-        for _ in 0..2 {
-            let (tx, rx) = mpsc::channel::<(f64, f64)>();
-            let handle = server.handle();
-            senders.push(tx);
-            clients.push(std::thread::spawn(move || {
-                let mut seen = Vec::new();
-                for (lo, hi) in rx {
-                    seen.push((lo, hi, handle.query_served(lo, hi)));
-                }
-                seen
-            }));
-        }
-        let writer = server.handle();
-        let mut updates: Vec<Update> = Vec::new();
-        let mut qi = 0usize;
-        for op in &ops {
-            match *op {
-                Op::Insert(k, m) => {
-                    writer.insert(k, m).unwrap();
-                    updates.push(Update::Insert { key: k, measure: m });
-                }
-                Op::Delete(k, m) => {
-                    writer.delete(k, m).unwrap();
-                    updates.push(Update::Delete { key: k, measure: m });
-                }
-                Op::Query(sa, sb) => {
-                    let (lo, hi) = endpoints_of(sa, sb);
-                    senders[qi % senders.len()].send((lo, hi)).unwrap();
-                    qi += 1;
-                }
-            }
-        }
-        drop(senders);
-        let mut observed = Vec::new();
-        for c in clients {
-            observed.extend(c.join().expect("client thread panicked"));
-        }
-        let stage_log = server.stage_log();
-        let (final_index, _stats) = server.shutdown();
-
-        for (i, &(lo, hi, served)) in observed.iter().enumerate() {
-            let oracle = replay_oracle(
-                delta,
-                limit,
-                &updates,
-                &stage_log,
-                served.updates_applied,
-                served.rebuilds,
-            );
-            let expect = AggregateIndex::query(&oracle, lo, hi);
-            let got = served.answer;
-            prop_assert_eq!(
-                got.map(|a| a.value.to_bits()),
-                expect.map(|a| a.value.to_bits()),
-                "query {} ({}, {}] at provenance ({}, {}): served {:?} vs oracle {:?}",
-                i, lo, hi, served.updates_applied, served.rebuilds, got, expect
-            );
-        }
-        // The handed-back index equals the full replay (all updates, all
-        // completed swaps), so the serving session leaves a state any
-        // offline consumer can reproduce.
-        let oracle = replay_oracle(
-            delta,
-            limit,
-            &updates,
-            &stage_log,
-            updates.len() as u64,
-            final_index.rebuilds() as u64,
-        );
-        prop_assert_eq!(final_index.buffered(), oracle.buffered());
-        for s in 0..30usize {
-            let (lo, hi) = (s as f64 * 12.0 - 150.0, s as f64 * 12.0 + 60.0);
-            prop_assert_eq!(
-                final_index.query(lo, hi).to_bits(),
-                oracle.query(lo, hi).to_bits(),
-                "final state probe {}", s
-            );
-        }
-    }
-
-    /// The read-only thread-per-core server: concurrent clients over a
-    /// shared static index get answers bitwise-identical to direct
-    /// `query` calls, for proper and degenerate bounds alike.
-    #[test]
-    fn static_server_matches_direct_queries(
-        selectors in proptest::collection::vec((0usize..1000, 0usize..1000), 4..40),
-        workers in 1usize..4,
-    ) {
-        let index: SharedIndex = Arc::new(
-            PolyFitSum::build(base_records(800), 10.0, capped_config()).unwrap(),
-        );
-        let server = polyfit_suite::polyfit::Server::start(
-            Arc::clone(&index),
-            ServeConfig {
-                workers,
-                deadline: Duration::from_micros(40),
-                max_batch: 8,
-            },
-        );
-        let probes: Vec<(f64, f64)> =
-            selectors.iter().map(|&(sa, sb)| endpoints_of(sa, sb)).collect();
-        let mut clients = Vec::new();
-        for c in 0..2usize {
-            let handle = server.handle();
-            let probes = probes.clone();
-            clients.push(std::thread::spawn(move || {
-                probes
-                    .into_iter()
-                    .skip(c)
-                    .map(|(lo, hi)| (lo, hi, handle.query_served(lo, hi)))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for c in clients {
-            for (lo, hi, served) in c.join().expect("client thread panicked") {
-                let direct = index.query(lo, hi);
-                prop_assert_eq!(
-                    served.answer.map(|a| a.value.to_bits()),
-                    direct.map(|a| a.value.to_bits()),
-                    "({}, {}]", lo, hi
-                );
-                prop_assert_eq!(served.updates_applied, 0u64);
-                prop_assert!(served.batch_len >= 1);
-            }
-        }
-        server.shutdown();
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The sharded server under interleaved multi-client traffic, with
-    /// auto-splits racing compaction: one writer streams key-routed
-    /// updates while two client threads submit queries concurrently —
-    /// point ranges, boundary-crossing ranges, and full-domain scans
-    /// alike. Every served answer carries its per-shard provenance
-    /// vector, and every one must be bitwise-identical to the
-    /// [`ShardedOracle`]'s offline replay: per shard, rebuild the exact
-    /// index state at `(updates_applied, rebuilds)` (through the
-    /// split lineage), re-run the clipped sub-query, and compose in the
-    /// served order.
+    /// The sharded server under interleaved multi-client traffic: one
+    /// writer streams key-routed updates while two client threads submit
+    /// queries concurrently — point ranges, boundary-crossing ranges, and
+    /// full-domain scans alike — with auto-splits racing compaction or,
+    /// at `split_threshold` 0, a fixed layout (one shard of it being the
+    /// single-writer serving loop). Every served answer carries its
+    /// per-shard provenance vector, and every one must be
+    /// bitwise-identical to the [`ShardedOracle`]'s offline replay: per
+    /// shard, rebuild the exact index state at `(updates_applied,
+    /// rebuilds)` (through the split lineage), re-run the clipped
+    /// sub-query, and compose in the served order — including answers
+    /// served while a compaction was staged or mid-rebuild.
     #[test]
     fn sharded_answers_match_per_shard_replay(
         ops in ops_strategy(56),
         delta in 4.0f64..20.0,
         shards in 1usize..4,
+        split_threshold in (0usize..2).prop_map(|s| s * 340),
+        buffer_limit in 4usize..16,
     ) {
         let cfg = ShardConfig {
             shards,
             deadline: Duration::from_micros(30),
             max_batch: 8,
             // Tiny budget + buffer: compaction stages often and spans
-            // many idle gaps, so splits regularly race a live rebuild.
+            // many idle gaps, so queries (and splits) regularly race a
+            // live rebuild.
             compaction_budget: 48,
-            buffer_limit: 12,
-            split_threshold: 340,
+            buffer_limit,
+            split_threshold,
             max_shards: 6,
             record_history: true,
             ..ShardConfig::default()
@@ -371,6 +189,243 @@ proptest! {
         );
         prop_assert_eq!(final_stats.layout_version, stats.layout_version,
             "no rebalance may run after shutdown began");
+    }
+}
+
+/// Replay the update prefix with the recorded compaction history: stage
+/// at each logged point, swap the first `swaps`, skip the rest. The
+/// result answers bit-for-bit like a one-shard engine's index did at
+/// provenance `(upto, swaps)`.
+fn replay_oracle(
+    delta: f64,
+    limit: usize,
+    updates: &[Update],
+    stage_log: &[u64],
+    upto: u64,
+    swaps: u64,
+) -> DynamicPolyFitSum {
+    let mut o = DynamicPolyFitSum::new(base_records(600), delta, capped_config(), limit).unwrap();
+    o.set_step_budget(0);
+    let mut si = 0usize;
+    for (i, &u) in updates.iter().take(upto as usize).enumerate() {
+        match u {
+            Update::Insert { key, measure } => o.insert(key, measure),
+            Update::Delete { key, measure } => o.delete(key, measure),
+        }
+        while si < stage_log.len() && stage_log[si] <= (i + 1) as u64 {
+            if (si as u64) < swaps {
+                assert!(o.begin_compaction(), "logged stage {si} must have work");
+                o.compact_now();
+            }
+            si += 1;
+        }
+    }
+    o
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The single-writer serving loop — a one-shard [`ShardedServer`] —
+    /// under interleaved multi-client traffic: one writer thread streams
+    /// updates while two client threads submit queries concurrently;
+    /// every served answer must equal a direct query on the quiesced
+    /// replay of its provenance point, including answers served while a
+    /// compaction was staged or mid-rebuild. The replay is built from the
+    /// updates this test submitted plus the recorded stage points alone,
+    /// so it checks the engine independently of [`ShardedOracle`].
+    #[test]
+    fn served_answers_match_quiesced_replay(
+        ops in ops_strategy(48),
+        delta in 4.0f64..20.0,
+        limit in 4usize..16,
+    ) {
+        let cfg = ShardConfig {
+            deadline: Duration::from_micros(30),
+            max_batch: 8,
+            // Tiny budget: rebuilds span many idle gaps, so queries
+            // regularly land mid-compaction.
+            compaction_budget: 48,
+            buffer_limit: limit,
+            record_history: true,
+            ..ShardConfig::default()
+        };
+        let server =
+            ShardedServer::start(base_records(600), delta, capped_config(), cfg).unwrap();
+        // Two query clients fed round-robin over channels — queries
+        // interleave with the writer from genuinely distinct threads.
+        let mut senders = Vec::new();
+        let mut clients = Vec::new();
+        for _ in 0..2 {
+            let (tx, rx) = mpsc::channel::<(f64, f64)>();
+            let handle = server.handle();
+            senders.push(tx);
+            clients.push(std::thread::spawn(move || {
+                let mut seen = Vec::new();
+                for (lo, hi) in rx {
+                    seen.push((lo, hi, handle.query_served(lo, hi)));
+                }
+                seen
+            }));
+        }
+        let writer = server.handle();
+        let mut updates: Vec<Update> = Vec::new();
+        let mut qi = 0usize;
+        for op in &ops {
+            match *op {
+                Op::Insert(k, m) => {
+                    writer.insert(k, m).unwrap();
+                    updates.push(Update::Insert { key: k, measure: m });
+                }
+                Op::Delete(k, m) => {
+                    writer.delete(k, m).unwrap();
+                    updates.push(Update::Delete { key: k, measure: m });
+                }
+                Op::Query(sa, sb) => {
+                    let (lo, hi) = endpoints_of(sa, sb);
+                    senders[qi % senders.len()].send((lo, hi)).unwrap();
+                    qi += 1;
+                }
+            }
+        }
+        drop(senders);
+        let mut observed = Vec::new();
+        for c in clients {
+            observed.extend(c.join().expect("client thread panicked"));
+        }
+        // Final-state probes from the writer: the batch answering each
+        // drained every update it submitted, so the session ends in a
+        // state any offline consumer can reproduce.
+        let streamed = observed.len();
+        for s in 0..30usize {
+            let (lo, hi) = (s as f64 * 12.0 - 150.0, s as f64 * 12.0 + 60.0);
+            observed.push((lo, hi, writer.query_served(lo, hi)));
+        }
+        let history = server.history();
+        server.shutdown();
+
+        prop_assert_eq!(history.initial.len(), 1);
+        let log = history.logs.get(&history.initial[0].0).cloned().unwrap_or_default();
+        // One writer, one shard: the engine applied exactly the submitted
+        // stream, in submission order.
+        prop_assert_eq!(&log.updates, &updates);
+        let mut replays: HashMap<(u64, u64), DynamicPolyFitSum> = HashMap::new();
+        for (i, (lo, hi, served)) in observed.iter().enumerate() {
+            prop_assert!(!served.poisoned, "query {} ({}, {}] poisoned", i, lo, hi);
+            // Degenerate bounds are answered inline, from no shard state.
+            let (upto, swaps) =
+                served.shards.first().map_or((0, 0), |p| (p.updates_applied, p.rebuilds));
+            if i >= streamed {
+                prop_assert_eq!(upto, updates.len() as u64, "final probe {}", i - streamed);
+            }
+            let replay = replays.entry((upto, swaps)).or_insert_with(|| {
+                replay_oracle(delta, limit, &updates, &log.stage_points, upto, swaps)
+            });
+            let expect = AggregateIndex::query(replay, *lo, *hi);
+            prop_assert_eq!(
+                served.answer.map(|a| a.value.to_bits()),
+                expect.map(|a| a.value.to_bits()),
+                "query {} ({}, {}] at provenance ({}, {}): served {:?} vs replay {:?}",
+                i, lo, hi, upto, swaps, served.answer, expect
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Immutable indexes: answered directly on client threads
+// ---------------------------------------------------------------------------
+
+/// Answer `probes` the way `polyfit-cli serve` answers an immutable index:
+/// `clients` threads split the probes round-robin and each calls
+/// [`AggregateIndex::query`] on the one shared index — no serving loop.
+/// Returns the answers in probe order.
+fn answer_on_client_threads(
+    index: &SharedIndex,
+    probes: &[(f64, f64)],
+    clients: usize,
+) -> Vec<Option<RangeAggregate>> {
+    let mut answers = vec![None; probes.len()];
+    std::thread::scope(|s| {
+        let threads: Vec<_> = (0..clients)
+            .map(|c| {
+                s.spawn(move || {
+                    (c..probes.len())
+                        .step_by(clients)
+                        .map(|i| (i, index.query(probes[i].0, probes[i].1)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for t in threads {
+            for (i, a) in t.join().expect("client thread panicked") {
+                answers[i] = a;
+            }
+        }
+    });
+    answers
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// A static index is served without a loop: concurrent client threads
+    /// over one shared [`SharedIndex`] get answers bitwise-identical to
+    /// direct `query` calls and to one `query_batch` pass (the check
+    /// `polyfit-cli serve` runs on every static file), for proper and
+    /// degenerate bounds alike.
+    #[test]
+    fn static_server_matches_direct_queries(
+        selectors in proptest::collection::vec((0usize..1000, 0usize..1000), 4..40),
+        clients in 1usize..4,
+    ) {
+        let index: SharedIndex =
+            Arc::new(PolyFitSum::build(base_records(800), 10.0, capped_config()).unwrap());
+        let probes: Vec<(f64, f64)> =
+            selectors.iter().map(|&(sa, sb)| endpoints_of(sa, sb)).collect();
+        let served = answer_on_client_threads(&index, &probes, clients);
+        let batch = index.query_batch(&probes);
+        for (i, &(lo, hi)) in probes.iter().enumerate() {
+            let direct = index.query(lo, hi);
+            prop_assert_eq!(bits(served[i]), bits(direct), "({}, {}]", lo, hi);
+            prop_assert_eq!(
+                served[i].map(|a| a.value.to_bits()),
+                batch[i].map(|a| a.value.to_bits()),
+                "({}, {}] vs query_batch", lo, hi
+            );
+        }
+    }
+}
+
+/// An answer's value bits and its certificate.
+fn bits(answer: Option<RangeAggregate>) -> Option<(u64, Guarantee)> {
+    answer.map(|a| (a.value.to_bits(), a.guarantee))
+}
+
+/// The AVG and MIN drivers answered the same way: every driver is
+/// `Send + Sync`, and answers from concurrent client threads must be
+/// bitwise-identical to direct queries — AVG's certified error bound
+/// included — and to `query_batch`, MIN over degenerate and reversed
+/// bounds included.
+#[test]
+fn avg_and_min_drivers_serve_bitwise() {
+    let drivers: Vec<SharedIndex> = vec![
+        Arc::new(GuaranteedAvg::with_abs_guarantees(base_records(500), 4.0, 4.0, capped_config())),
+        Arc::new(GuaranteedMin::with_abs_guarantee(base_records(500), 4.0, capped_config())),
+    ];
+    let probes: Vec<(f64, f64)> = (0..60usize).map(|s| endpoints_of(s * 17, s * 23 + 5)).collect();
+    for index in drivers {
+        let served = answer_on_client_threads(&index, &probes, 2);
+        let batch = index.query_batch(&probes);
+        for (i, &(lo, hi)) in probes.iter().enumerate() {
+            let what = format!("{}/{:?} ({lo}, {hi}]", index.name(), index.kind());
+            assert_eq!(bits(served[i]), bits(index.query(lo, hi)), "{what}");
+            assert_eq!(
+                served[i].map(|a| a.value.to_bits()),
+                batch[i].map(|a| a.value.to_bits()),
+                "{what} vs query_batch"
+            );
+        }
     }
 }
 
@@ -569,10 +624,10 @@ fn mixed_zero_streams_recover_bitwise() {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming aggregates: sliding windows and the AVG/MIN drivers
+// Streaming aggregates: sliding windows
 // ---------------------------------------------------------------------------
 
-/// A sliding-window SUM stream through the dynamic serve loop: each step
+/// A sliding-window SUM stream through a one-shard engine: each step
 /// inserts at the leading edge, deletes the trailing edge once the
 /// window is full, and periodically queries exactly the live window.
 /// Every answer must replay bitwise at its provenance — the window
@@ -584,91 +639,57 @@ fn sliding_window_sum_stream_matches_quiesced_replay() {
     let key_of = |t: usize| t as f64 * 0.5 - 90.0;
     let measure_of = |t: usize| 1.0 + (t % 5) as f64 * 0.25;
     const WINDOW: usize = 40;
-    let index = DynamicPolyFitSum::new(base_records(600), 8.0, capped_config(), 10).unwrap();
-    let server = polyfit_suite::polyfit::DynamicServer::start(
-        index,
-        DynamicServeConfig {
-            deadline: Duration::from_micros(30),
-            max_batch: 8,
-            compaction_budget: 48,
-        },
-    );
+    let cfg = ShardConfig {
+        deadline: Duration::from_micros(30),
+        max_batch: 8,
+        compaction_budget: 48,
+        buffer_limit: 10,
+        record_history: true,
+        ..ShardConfig::default()
+    };
+    let server = ShardedServer::start(base_records(600), 8.0, capped_config(), cfg).unwrap();
     let writer = server.handle();
-    let mut updates: Vec<Update> = Vec::new();
+    let mut submitted = 0u64;
     let mut observed = Vec::new();
     for t in 0..130usize {
-        let (k, m) = (key_of(t), measure_of(t));
-        writer.insert(k, m).unwrap();
-        updates.push(Update::Insert { key: k, measure: m });
+        writer.insert(key_of(t), measure_of(t)).unwrap();
+        submitted += 1;
         if t >= WINDOW {
-            let (ok, om) = (key_of(t - WINDOW), measure_of(t - WINDOW));
-            writer.delete(ok, om).unwrap();
-            updates.push(Update::Delete { key: ok, measure: om });
+            writer.delete(key_of(t - WINDOW), measure_of(t - WINDOW)).unwrap();
+            submitted += 1;
         }
         if t % 5 == 4 {
             // The half-open window (key(t-WINDOW), key(t)] — exactly the
             // live entries, trailing edge excluded.
             let lo = if t >= WINDOW { key_of(t - WINDOW) } else { f64::NEG_INFINITY };
-            observed.push((lo, key_of(t), writer.query_served(lo, key_of(t))));
+            let served = writer.query_served(lo, key_of(t));
+            // One client: the batch answering it drained every write
+            // this client submitted before it.
+            if let Some(p) = served.shards.first() {
+                assert_eq!(p.updates_applied, submitted, "window at t={t}");
+            }
+            observed.push((lo, key_of(t), served));
         }
     }
-    let stage_log = server.stage_log();
-    let (final_index, _stats) = server.shutdown();
-    for (i, &(lo, hi, served)) in observed.iter().enumerate() {
+    // The final state, read wait-free from the published snapshot, must
+    // equal the full replay too.
+    for s in 0..40 {
+        let lo = -170.0 + s as f64 * 8.5;
+        for span in [0.0, 5.5, 63.0, 400.0] {
+            observed.push((lo, lo + span, writer.snapshot_query(lo, lo + span)));
+        }
+    }
+    let oracle = server.oracle();
+    for (i, (lo, hi, served)) in observed.iter().enumerate() {
         assert!(!served.poisoned, "window {i} poisoned");
-        let oracle =
-            replay_oracle(8.0, 10, &updates, &stage_log, served.updates_applied, served.rebuilds);
-        let expect = AggregateIndex::query(&oracle, lo, hi);
-        assert_eq!(
-            served.answer.map(|a| a.value.to_bits()),
-            expect.map(|a| a.value.to_bits()),
-            "window {i} ({lo}, {hi}] at provenance ({}, {})",
-            served.updates_applied,
-            served.rebuilds
+        assert!(
+            oracle.matches(served),
+            "window {i} ({lo}, {hi}]: {:?} vs {:?}",
+            served.answer,
+            oracle.expected(served)
         );
     }
-    let oracle = replay_oracle(
-        8.0,
-        10,
-        &updates,
-        &stage_log,
-        updates.len() as u64,
-        final_index.rebuilds() as u64,
-    );
-    assert_eq!(final_index.buffered(), oracle.buffered());
-    assert_bitwise_equal(&final_index, &oracle).unwrap();
-}
-
-/// The AVG and MIN drivers behind the static serve loop: any
-/// [`AggregateIndex`] serves through the same batching machinery, and
-/// the answers must be bitwise-identical to direct queries — including
-/// AVG's certified error bound and MIN over degenerate/reversed bounds.
-#[test]
-fn avg_and_min_drivers_serve_bitwise() {
-    let drivers: Vec<SharedIndex> = vec![
-        Arc::new(GuaranteedAvg::with_abs_guarantees(base_records(500), 4.0, 4.0, capped_config())),
-        Arc::new(GuaranteedMin::with_abs_guarantee(base_records(500), 4.0, capped_config())),
-    ];
-    for index in drivers {
-        let server = polyfit_suite::polyfit::Server::start(
-            Arc::clone(&index),
-            ServeConfig { workers: 2, deadline: Duration::from_micros(40), max_batch: 8 },
-        );
-        let handle = server.handle();
-        for s in 0..60usize {
-            let (lo, hi) = endpoints_of(s * 17, s * 23 + 5);
-            let served = handle.query_served(lo, hi);
-            let direct = index.query(lo, hi);
-            assert_eq!(
-                served.answer.map(|a| a.value.to_bits()),
-                direct.map(|a| a.value.to_bits()),
-                "{}/{:?} ({lo}, {hi}]",
-                index.name(),
-                index.kind()
-            );
-        }
-        server.shutdown();
-    }
+    server.shutdown();
 }
 
 // ---------------------------------------------------------------------------
