@@ -468,18 +468,25 @@ pub fn run(cmd: Command) -> Result<(), String> {
             // snapshot read (same per-shard state, same clip-and-merge
             // composition) is a stable oracle for every served answer.
             let control = server.handle();
-            let snapshots = ranges.iter().map(|&(lo, hi)| control.snapshot_query(lo, hi).value());
-            let verified = verify_and_print(&ranges, &answers, snapshots, "composed snapshot read");
+            let snapshots: Vec<ShardServed> =
+                ranges.iter().map(|&(lo, hi)| control.snapshot_query(lo, hi)).collect();
+            let spanning = snapshots.iter().filter(|s| s.shards.len() > 1).count();
+            let verified = verify_and_print(
+                &ranges,
+                &answers,
+                snapshots.iter().map(ShardServed::value),
+                "composed snapshot read",
+            );
             let stats = server.shutdown();
             verified?;
             println!(
                 "# served {} requests in {:.3} ms ({:.0} req/s) — {} shard(s), {} spanning{}, \
                  bitwise-verified",
-                stats.submitted,
+                ranges.len(),
                 wall * 1e3,
-                stats.submitted as f64 / wall,
+                ranges.len() as f64 / wall,
                 stats.shards.len(),
-                stats.spanning,
+                spanning,
                 wal.map(|dir| format!(", journaled to {dir}")).unwrap_or_default(),
             );
             Ok(())

@@ -47,7 +47,7 @@ use crate::build::{segment_ranges, BuildOptions};
 use crate::config::PolyFitConfig;
 use crate::directory::segment_from_spec;
 use crate::error::PolyFitError;
-use crate::function::{cumulative_function_sorted, TargetFunction};
+use crate::function::{cumulative_function_sorted, validate_records, TargetFunction};
 use crate::index_sum::PolyFitSum;
 use crate::segment::Segment;
 use crate::segmentation::{greedy_next_segment, ErrorMetric, SegmentSpec};
@@ -318,9 +318,10 @@ impl DynamicPolyFitSum {
         buffer_limit: usize,
         opts: &BuildOptions,
     ) -> Result<Self, PolyFitError> {
+        validate_records(&records)?;
         sort_records(&mut records);
         let records = dedup_sum(records);
-        let base = PolyFitSum::build_with(records.clone(), delta, config, opts)?;
+        let base = PolyFitSum::build_sorted(&records, delta, config, opts)?;
         Ok(DynamicPolyFitSum {
             base: Some(Arc::new(base)),
             base_records: records,
@@ -1899,6 +1900,26 @@ mod tests {
         ));
         assert_eq!(idx.buffered(), 0, "rejected updates must not land");
         assert!(idx.try_insert(1.5, 2.0).is_ok());
+    }
+
+    /// Non-finite initial records are a typed error from both build
+    /// entry points, like `PolyFitSum::build` — not a panic in the sort.
+    #[test]
+    fn non_finite_records_are_a_typed_error() {
+        for (bad, at) in [(Record::new(f64::NAN, 1.0), 3), (Record::new(2.0, f64::INFINITY), 7)] {
+            let mut records = base_records(20);
+            records[at] = bad;
+            let cfg = PolyFitConfig::default();
+            assert_eq!(
+                DynamicPolyFitSum::new(records.clone(), 5.0, cfg, 10).err(),
+                Some(PolyFitError::NonFiniteData { index: at })
+            );
+            assert_eq!(
+                DynamicPolyFitSum::with_options(records, 5.0, cfg, 10, &BuildOptions::default())
+                    .err(),
+                Some(PolyFitError::NonFiniteData { index: at })
+            );
+        }
     }
 
     #[test]

@@ -45,7 +45,9 @@ impl TargetFunction {
     }
 }
 
-fn validate(records: &[Record]) -> Result<(), PolyFitError> {
+/// Refuse an empty record set or a non-finite key or measure with a
+/// typed error — run it before [`sort_records`], which panics on them.
+pub(crate) fn validate_records(records: &[Record]) -> Result<(), PolyFitError> {
     if records.is_empty() {
         return Err(PolyFitError::EmptyDataset);
     }
@@ -60,7 +62,7 @@ fn validate(records: &[Record]) -> Result<(), PolyFitError> {
 /// Build `CF_sum` from raw records: sort, fold duplicate keys by summing,
 /// prefix-accumulate.
 pub fn cumulative_function(mut records: Vec<Record>) -> Result<TargetFunction, PolyFitError> {
-    validate(&records)?;
+    validate_records(&records)?;
     sort_records(&mut records);
     let records = dedup_sum(records);
     let mut keys = Vec::with_capacity(records.len());
@@ -106,7 +108,7 @@ pub fn cumulative_function_sorted(records: &[Record]) -> TargetFunction {
 /// by maximum too — use [`step_function_min`] when exact MIN semantics on
 /// duplicate keys matter.
 pub fn step_function(mut records: Vec<Record>) -> Result<TargetFunction, PolyFitError> {
-    validate(&records)?;
+    validate_records(&records)?;
     sort_records(&mut records);
     let records = dedup_max(records);
     Ok(TargetFunction {
@@ -118,7 +120,7 @@ pub fn step_function(mut records: Vec<Record>) -> Result<TargetFunction, PolyFit
 /// Like [`step_function`] but folding duplicate keys by *minimum*, for MIN
 /// indexes.
 pub fn step_function_min(mut records: Vec<Record>) -> Result<TargetFunction, PolyFitError> {
-    validate(&records)?;
+    validate_records(&records)?;
     sort_records(&mut records);
     // Fold duplicates keeping the minimum measure.
     let mut out: Vec<Record> = Vec::with_capacity(records.len());

@@ -13,7 +13,7 @@ use crate::build::{segment_function, BuildOptions};
 use crate::config::PolyFitConfig;
 use crate::directory::CompiledDirectory;
 use crate::error::PolyFitError;
-use crate::function::{cumulative_function, TargetFunction};
+use crate::function::{cumulative_function, cumulative_function_sorted, TargetFunction};
 use crate::segment::Segment;
 use crate::segmentation::ErrorMetric;
 use crate::stats::{IndexStats, SegmentStats, SegmentStatsSummary};
@@ -36,6 +36,15 @@ pub struct PolyFitSum {
     seg_stats: Option<Vec<SegmentStats>>,
 }
 
+/// The build parameters every SUM build checks before touching data.
+fn check_build_params(delta: f64, config: &PolyFitConfig) -> Result<(), PolyFitError> {
+    config.validate()?;
+    if delta <= 0.0 || !delta.is_finite() {
+        return Err(PolyFitError::InvalidErrorBound { bound: delta });
+    }
+    Ok(())
+}
+
 impl PolyFitSum {
     /// Build from raw records with the bounded δ-error constraint
     /// (serial; see [`Self::build_with`] for the parallel pipeline).
@@ -56,12 +65,22 @@ impl PolyFitSum {
         config: PolyFitConfig,
         opts: &BuildOptions,
     ) -> Result<Self, PolyFitError> {
-        config.validate()?;
-        if delta <= 0.0 || !delta.is_finite() {
-            return Err(PolyFitError::InvalidErrorBound { bound: delta });
-        }
+        check_build_params(delta, &config)?;
         let f = cumulative_function(records)?;
         Ok(Self::from_function_with(&f, delta, config, opts))
+    }
+
+    /// [`Self::build_with`] over records that are already sorted,
+    /// deduplicated, finite and non-empty, without sorting a second copy.
+    /// Bitwise-equal to `build_with` over the same records.
+    pub(crate) fn build_sorted(
+        records: &[Record],
+        delta: f64,
+        config: PolyFitConfig,
+        opts: &BuildOptions,
+    ) -> Result<Self, PolyFitError> {
+        check_build_params(delta, &config)?;
+        Ok(Self::from_function_with(&cumulative_function_sorted(records), delta, config, opts))
     }
 
     /// Build a COUNT index (all measures 1).

@@ -2,33 +2,45 @@
 //! epoch-published routing layout — the serving engine for mutable
 //! state.
 //!
-//! A worker drains each batch's writes before answering its reads,
-//! fences group commit at ack points, steps compaction in idle gaps and
-//! fail-stops on worker death. One shard (the default) is a single-writer
-//! serving loop; more shards partition the key space. Immutable indexes
-//! need none of this: every index is `Send + Sync`, so client threads
-//! call [`crate::traits::AggregateIndex::query`] on a shared
-//! [`crate::traits::SharedIndex`] directly — a direct query costs tens of
-//! nanoseconds, far less than any queue round trip a loop would add.
+//! Reads never wait in a queue. [`ShardHandle::submit`] answers on the
+//! caller's thread from the published snapshot of every shard the range
+//! touches, under one epoch pin, and returns an already-completed
+//! [`ShardTicket`]. Only writes (and merge handoffs) ride the per-shard
+//! queues. A worker applies them a window at a time and publishes a new
+//! snapshot only after one fence covers every write it holds (group
+//! commit), so every state a reader can observe is durable. It publishes
+//! when a handle waits on its own writes, before a compaction step, after
+//! a park interval without writes, and at least every 10 ms under
+//! sustained load; in between, windows share one fence. Workers also step compaction in idle gaps and fail-stop on
+//! worker death. One shard (the default) is a single-writer serving loop;
+//! more shards partition the key space. Immutable indexes need none of
+//! this: every index is `Send + Sync`, so client threads call
+//! [`crate::traits::AggregateIndex::query`] on a shared
+//! [`crate::traits::SharedIndex`] directly.
 //!
 //! * **Shared-nothing shards.** The key space is partitioned into
 //!   contiguous ranges `(B_{i-1}, B_i]`; each shard is one worker thread
-//!   owning its own [`DynamicPolyFitSum`] and a private request queue.
+//!   owning its own [`DynamicPolyFitSum`] and a private write queue.
 //!   No mutex is shared between shards on the hot path.
-//! * **Spin-then-park wakeups.** Queues and answer slots hand off with
-//!   an atomic length/flag plus `thread::park` — a submission is a plain
-//!   atomic store, not a `notify_all` syscall, unless someone is actually
-//!   asleep.
+//! * **Reads on the caller's thread.** A read `(lo, hi]` touching shards
+//!   `a..=b` is clipped at the shard bounds; each part is answered from
+//!   that shard's snapshot and the parts fold **in ascending shard
+//!   order** with [`RangeAggregate::merge_sum`] — a deterministic fold,
+//!   so the composed value is exactly reproducible. A read allocates its
+//!   provenance vector and touches no shared counter, slot or lock.
+//! * **Read-your-writes.** A handle remembers the queue position of its
+//!   last write to each shard. A read that touches a shard which has not
+//!   yet published that position is deferred to [`ShardTicket::wait`]
+//!   (spin, then park until the worker's publish wakes it); `submit`
+//!   itself never blocks, so an open-loop submitter keeps its schedule.
+//!   Later reads of the handle defer behind an unresolved one, so its
+//!   answers never go back in time. A split or merge hands the positions
+//!   of the stragglers it forwards on to the successor shards.
 //! * **Epoch-published snapshots.** The routing table ([`Layout`]) and
 //!   every shard's frozen view ([`DynamicSnapshot`]) are published
 //!   through [`crate::epoch`]: compaction swaps and shard rebalances are
 //!   a pointer publish, wait-free for readers, with grace-period
 //!   reclamation instead of locks.
-//! * **Scatter-gather ranges.** A query `(lo, hi]` touching shards
-//!   `a..=b` is clipped at the shard bounds and scattered; the last
-//!   depositing shard composes the sub-answers **in ascending shard
-//!   order** with [`RangeAggregate::merge_sum`] — a deterministic fold,
-//!   so the composed value is exactly reproducible.
 //! * **Auto-partitioning.** Per-shard size counters drive YDB-style
 //!   splits (at the median base key) and merges into a neighbour, each
 //!   executed as a layout publish that is invisible to readers.
@@ -58,6 +70,7 @@
 //! ([`RangeAggregate::merge_sum`]), so an answer spanning `k` shards
 //! carries a `±2kδ` certificate.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
@@ -73,6 +86,7 @@ use crate::config::PolyFitConfig;
 use crate::dynamic::{DynamicPolyFitSum, DynamicSnapshot, Update};
 use crate::epoch::{Domain, Published, Reader};
 use crate::error::PolyFitError;
+use crate::function::validate_records;
 use crate::serialize::WalRecord;
 use crate::traits::{classify_bounds, QueryBounds, RangeAggregate};
 use crate::wal::{Journal, LayoutCheckpoint, LayoutLog, RecoveryReport, SyncPolicy, WalError};
@@ -86,6 +100,11 @@ const MAX_DEADLINE: Duration = Duration::from_millis(100);
 /// close-time unpark was missed.
 const IDLE_POLL: Duration = Duration::from_millis(1);
 
+/// How long a busy shard may coalesce write windows into one fence
+/// before it publishes anyway: the staleness bound for snapshot reads
+/// under sustained write load.
+const PUBLISH_LAG: Duration = Duration::from_millis(10);
+
 /// Tuning knobs for a [`ShardedServer`]. Validated and clamped by
 /// [`ShardedServer::start`] (see [`ShardConfig::validated`]).
 #[derive(Clone, Copy, Debug)]
@@ -94,10 +113,14 @@ pub struct ShardConfig {
     /// the number of distinct records, since every shard needs at least
     /// one).
     pub shards: usize,
-    /// Per-shard batch-formation window, measured from the first request
-    /// a worker pops. Clamped to at most 100 ms.
+    /// Per-shard write window (group commit), measured from the first
+    /// write a worker pops: the window's writes are applied together and
+    /// share one fence and one snapshot publish. Reads never wait on it
+    /// unless they follow the same handle's write to the shard. Clamped
+    /// to at most 100 ms.
     pub deadline: Duration,
-    /// Largest query batch one sweep answers (`0` is clamped to 1).
+    /// Largest number of queued writes one window applies (`0` is
+    /// clamped to 1).
     pub max_batch: usize,
     /// Compaction step budget spent per idle gap (`0` disables
     /// loop-driven compaction).
@@ -120,9 +143,9 @@ pub struct ShardConfig {
     /// [`ShardedOracle`] can replay every answer. Off by default — the
     /// log grows with the update stream.
     pub record_history: bool,
-    /// Spin iterations before a waiter parks. On a single hardware
-    /// thread, spinning only steals cycles from the worker — keep it
-    /// small there.
+    /// Spin iterations before an idle worker or a deferred read parks.
+    /// On a single hardware thread, spinning only steals cycles from the
+    /// worker — keep it small there.
     pub spin: u32,
 }
 
@@ -192,10 +215,12 @@ pub struct ShardServed {
     /// The composed answer (`None` for non-finite bounds or a poisoned
     /// request).
     pub answer: Option<RangeAggregate>,
-    /// Per-shard provenance, in composition order. Empty when the
-    /// request was answered inline (degenerate bounds) or poisoned.
+    /// Per-shard provenance, in composition order. Empty for degenerate
+    /// bounds (answered from the contract, not from shard state) and for
+    /// poisoned requests.
     pub shards: Vec<ShardPoint>,
-    /// Largest per-shard batch this request rode in (informational).
+    /// Engine batch this answer rode in: always `0`, because every read
+    /// is answered from published snapshots, one range at a time.
     pub batch_len: usize,
     /// `true` when the serving layer could not answer — the server shut
     /// down or a worker died with the request in flight. Never silently
@@ -213,211 +238,137 @@ impl ShardServed {
     fn poisoned() -> ShardServed {
         ShardServed { answer: None, shards: Vec::new(), batch_len: 0, poisoned: true }
     }
+
+    /// The contract answer for degenerate bounds, independent of any
+    /// shard state.
+    fn inline(answer: Option<RangeAggregate>) -> ShardServed {
+        ShardServed { answer, shards: Vec::new(), batch_len: 0, poisoned: false }
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Spin-then-park rendezvous
+// Tickets: inline answers, and reads deferred behind the handle's writes
 // ---------------------------------------------------------------------------
 
-/// One-shot answer slot. The client spins briefly (the worker usually
-/// answers within a batch window), yields, and only then parks — the
-/// completing worker pays an `unpark` syscall only for a parked waiter.
-struct GatherSlot {
-    state: Mutex<Option<ShardServed>>,
-    done: AtomicBool,
-    waiter: OnceLock<Thread>,
+/// A handle's latest write to one shard: visible once that shard has
+/// published queue position `pos` — or, once the shard has retired,
+/// once every successor has published the position its forwarded
+/// stragglers landed at.
+#[derive(Clone)]
+struct Pending {
+    rt: Arc<ShardRt>,
+    pos: u64,
 }
 
-impl GatherSlot {
-    fn new() -> Arc<GatherSlot> {
-        Arc::new(GatherSlot {
-            state: Mutex::new(None),
-            done: AtomicBool::new(false),
-            waiter: OnceLock::new(),
-        })
+/// Record that a write landed at queue position `pos` of `rt`.
+fn note(pending: &mut Vec<Pending>, rt: &Arc<ShardRt>, pos: u64) {
+    if let Some(p) = pending.iter_mut().find(|p| Arc::ptr_eq(&p.rt, rt)) {
+        p.pos = p.pos.max(pos);
+        return;
     }
-
-    /// Complete the slot exactly once; later completions (e.g. a poison
-    /// sweep racing a real answer) are ignored.
-    fn finish(&self, served: ShardServed) {
-        {
-            let mut state = self.state.lock().expect("gather slot poisoned");
-            if self.done.load(SeqCst) {
-                return;
-            }
-            *state = Some(served);
-            self.done.store(true, SeqCst);
-        }
-        if let Some(t) = self.waiter.get() {
-            t.unpark();
-        }
-    }
-
-    fn wait(&self, spin: u32) -> ShardServed {
-        let mut i = 0u32;
-        while !self.done.load(SeqCst) {
-            if i < spin {
-                std::hint::spin_loop();
-                i += 1;
-            } else if i < spin.saturating_add(64) {
-                thread::yield_now();
-                i += 1;
-            } else {
-                let _ = self.waiter.set(thread::current());
-                if self.done.load(SeqCst) {
-                    break;
-                }
-                thread::park_timeout(IDLE_POLL);
-            }
-        }
-        self.state
-            .lock()
-            .expect("gather slot poisoned")
-            .take()
-            .expect("completed slot holds an answer")
-    }
+    // A shard this handle has no entry for: first let go of writes that
+    // are already visible, so a write-only handle never pins retired
+    // shards.
+    pending.retain(|p| p.rt.published.load(SeqCst) < p.pos);
+    pending.push(Pending { rt: Arc::clone(rt), pos });
 }
 
-/// A pending sharded request; await it exactly once.
-pub struct ShardTicket {
-    slot: Arc<GatherSlot>,
-    spin: u32,
+/// Drop the writes in `pending` that are now visible — published by
+/// their shard, or handed on to a retired shard's successors — and
+/// return a shard whose unpublished write blocks a read of layout
+/// positions `a..=b`: one of those shards, or one that has left the
+/// layout but not yet named its successors.
+fn settle(pending: &mut Vec<Pending>, layout: &Layout, a: usize, b: usize) -> Option<Arc<ShardRt>> {
+    let mut blocker = None;
+    let mut i = 0;
+    while i < pending.len() {
+        let p = &pending[i];
+        if p.rt.published.load(SeqCst) >= p.pos {
+            pending.swap_remove(i);
+        } else if let Some(next) = p.rt.successors.get().cloned() {
+            pending.swap_remove(i);
+            pending.extend(next);
+        } else {
+            let touched = layout.shards[a..=b].iter().any(|s| Arc::ptr_eq(s, &p.rt));
+            if blocker.is_none() && (touched || layout.position_of(p.rt.id).is_none()) {
+                blocker = Some(Arc::clone(&p.rt));
+            }
+            i += 1;
+        }
+    }
+    blocker
+}
+
+/// A submitted read; await it exactly once.
+pub struct ShardTicket(Ticket);
+
+enum Ticket {
+    /// Answered on the submitting thread — the common case.
+    Ready(ShardServed),
+    /// A shard the read touches has not yet published one of the
+    /// submitting handle's writes.
+    Deferred(Box<DeferredRead>),
+}
+
+struct DeferredRead {
+    shared: Arc<ServerShared>,
+    lo: f64,
+    hi: f64,
+    pending: Vec<Pending>,
+    /// The submitting handle's count of resolved deferred reads, bumped
+    /// when this one resolves (or is dropped unresolved).
+    resolved: Arc<AtomicU64>,
+}
+
+impl Drop for DeferredRead {
+    fn drop(&mut self) {
+        self.resolved.fetch_add(1, SeqCst);
+    }
 }
 
 impl ShardTicket {
-    /// Block until every involved shard has deposited its sub-answer.
-    /// Returns a poisoned answer (never blocks forever) if the server
-    /// shut down or a worker died with this request in flight.
+    /// The answer. An inline answer returns at once; a read deferred
+    /// behind the submitting handle's own writes waits until the shards
+    /// it touches publish them. Resolves poisoned — never blocks forever
+    /// — if the server shuts down or a worker dies first.
     pub fn wait(self) -> ShardServed {
-        self.slot.wait(self.spin)
+        match self.0 {
+            Ticket::Ready(served) => served,
+            Ticket::Deferred(read) => read.resolve(),
+        }
     }
 }
 
-/// One deposited sub-answer.
-enum PartState {
-    Waiting,
-    Poisoned,
-    Done { value: f64, point: ShardPoint, batch_len: usize },
-}
-
-/// Scatter-gather join: each involved shard deposits into its slot; the
-/// last depositor composes in part order (ascending shard order) and
-/// completes the client slot.
-struct GatherState {
-    parts: Mutex<Vec<PartState>>,
-    remaining: AtomicUsize,
-    slot: Arc<GatherSlot>,
-    /// `true` once the submitting client abandoned this gather (a shard
-    /// queue closed mid-scatter and the request was re-routed); late
-    /// deposits must not complete the client slot.
-    cancelled: AtomicBool,
-    /// Composed certificate per sub-answer (`2δ`).
-    bound: f64,
-}
-
-impl GatherState {
-    fn new(parts: usize, slot: Arc<GatherSlot>, bound: f64) -> GatherState {
-        GatherState {
-            parts: Mutex::new((0..parts).map(|_| PartState::Waiting).collect()),
-            remaining: AtomicUsize::new(parts),
-            slot,
-            cancelled: AtomicBool::new(false),
-            bound,
-        }
-    }
-
-    fn deposit(&self, part: usize, state: PartState) {
-        {
-            let mut parts = self.parts.lock().expect("gather parts poisoned");
-            parts[part] = state;
-        }
-        if self.remaining.fetch_sub(1, SeqCst) == 1 && !self.cancelled.load(SeqCst) {
-            self.compose();
-        }
-    }
-
-    /// Deterministic composition: fold sub-aggregates in part (shard)
-    /// order with [`RangeAggregate::merge_sum`]. Any poisoned part
-    /// poisons the whole answer.
-    fn compose(&self) {
-        let parts = self.parts.lock().expect("gather parts poisoned");
-        let mut shards = Vec::with_capacity(parts.len());
-        let mut agg: Option<RangeAggregate> = None;
-        let mut batch_len = 0usize;
-        let mut poisoned = false;
-        for p in parts.iter() {
-            match *p {
-                PartState::Done { value, point, batch_len: bl } => {
-                    shards.push(point);
-                    batch_len = batch_len.max(bl);
-                    let a = RangeAggregate::absolute(value, self.bound);
-                    agg = Some(match agg {
-                        None => a,
-                        Some(acc) => acc.merge_sum(a),
-                    });
+impl DeferredRead {
+    /// Retry the snapshot read until nothing blocks it: spin, yield, then
+    /// park on the blocking shard, whose next publish wakes this thread.
+    fn resolve(mut self) -> ShardServed {
+        let reader = self.shared.domain.reader();
+        let spin = self.shared.cfg.spin;
+        let mut tries = 0u32;
+        loop {
+            let blocker = match self.shared.read(&reader, &mut self.pending, self.lo, self.hi) {
+                Ok(served) => return served,
+                Err(rt) => rt,
+            };
+            if !self.shared.open.load(SeqCst) {
+                return ShardServed::poisoned();
+            }
+            blocker.request_publish();
+            if tries < spin {
+                std::hint::spin_loop();
+            } else if tries < spin.saturating_add(64) {
+                thread::yield_now();
+            } else {
+                blocker.waiters.lock().expect("waiter list poisoned").push(thread::current());
+                // A publish that landed before the registration woke
+                // nobody; this retry sees it instead.
+                if let Ok(served) = self.shared.read(&reader, &mut self.pending, self.lo, self.hi) {
+                    return served;
                 }
-                PartState::Poisoned => poisoned = true,
-                PartState::Waiting => unreachable!("composed before all deposits"),
+                thread::park_timeout(IDLE_POLL);
             }
-        }
-        if poisoned {
-            self.slot.finish(ShardServed { answer: None, shards, batch_len, poisoned: true });
-        } else {
-            self.slot.finish(ShardServed { answer: agg, shards, batch_len, poisoned: false });
-        }
-    }
-}
-
-/// Where a sub-query's answer lands. Queries confined to one shard — the
-/// common case — skip the gather machinery entirely and finish the
-/// client slot directly (no parts vector, no second rendezvous).
-enum QuerySink {
-    Single { slot: Arc<GatherSlot>, bound: f64 },
-    Gather { gather: Arc<GatherState>, part: usize },
-}
-
-/// A routed sub-query riding a shard queue. Dropping it un-answered
-/// (worker panic, shutdown sweep, queue teardown) poisons its sink, so
-/// the waiting client always wakes.
-struct SubQuery {
-    lo: f64,
-    hi: f64,
-    sink: QuerySink,
-    deposited: bool,
-}
-
-impl SubQuery {
-    /// Disarm the drop sweep on a request that was handed back by a
-    /// closed queue and will be re-routed: the sweep is for genuinely
-    /// abandoned requests, and the client slot is write-once — a poison
-    /// deposited here would win over the re-routed real answer.
-    fn defuse(mut self) {
-        self.deposited = true;
-    }
-
-    fn answer(mut self, value: f64, point: ShardPoint, batch_len: usize) {
-        self.deposited = true;
-        match &self.sink {
-            QuerySink::Single { slot, bound } => slot.finish(ShardServed {
-                answer: Some(RangeAggregate::absolute(value, *bound)),
-                shards: vec![point],
-                batch_len,
-                poisoned: false,
-            }),
-            QuerySink::Gather { gather, part } => {
-                gather.deposit(*part, PartState::Done { value, point, batch_len })
-            }
-        }
-    }
-}
-
-impl Drop for SubQuery {
-    fn drop(&mut self) {
-        if !self.deposited {
-            match &self.sink {
-                QuerySink::Single { slot, .. } => slot.finish(ShardServed::poisoned()),
-                QuerySink::Gather { gather, part } => gather.deposit(*part, PartState::Poisoned),
-            }
+            tries = tries.saturating_add(1);
         }
     }
 }
@@ -429,37 +380,39 @@ struct MergeHandoff {
     /// `true` when the sender sits to the right of the receiver.
     from_right: bool,
     index: Box<DynamicPolyFitSum>,
-    /// The sender's (closed) queue — the receiver drains stragglers that
-    /// raced the close.
-    queue: Arc<ShardQueue>,
-    /// The sender's final frozen view, for answering straggler queries.
-    snap: DynamicSnapshot,
-    updates_applied: u64,
-    rebuilds: u64,
-    epoch: u64,
+    /// The sender's runtime: the receiver forwards the stragglers that
+    /// raced its queue's close and names the merged shard its successor.
+    rt: Arc<ShardRt>,
 }
 
 enum Req {
     Update(Update),
-    Query(SubQuery),
     Merge(Box<MergeHandoff>),
 }
 
-/// Private MPSC request queue with spin-then-park consumer wakeup: a
-/// push is a short critical section plus one atomic swap; the `unpark`
-/// syscall is paid only when the worker actually parked.
+/// Private MPSC write queue with spin-then-park consumer wakeup: a push
+/// is a short critical section plus one atomic swap; the `unpark`
+/// syscall is paid only when the worker actually parked. Every push gets
+/// a queue position (1, 2, …), which read-your-writes waits on.
 struct ShardQueue {
-    q: Mutex<VecDeque<Req>>,
+    q: Mutex<Inbox>,
     len: AtomicUsize,
     closed: AtomicBool,
     parked: AtomicBool,
     worker: OnceLock<Thread>,
 }
 
+#[derive(Default)]
+struct Inbox {
+    reqs: VecDeque<Req>,
+    /// Requests ever pushed: the queue position of the latest push.
+    pushed: u64,
+}
+
 impl ShardQueue {
     fn new() -> Arc<ShardQueue> {
         Arc::new(ShardQueue {
-            q: Mutex::new(VecDeque::new()),
+            q: Mutex::new(Inbox::default()),
             len: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
             parked: AtomicBool::new(false),
@@ -467,10 +420,11 @@ impl ShardQueue {
         })
     }
 
-    /// Enqueue, or hand the request back if the queue is closed (the
-    /// shard rebalanced away or the server shut down) — the caller
-    /// re-routes against a fresh layout.
-    fn push(&self, req: Req) -> Result<(), Req> {
+    /// Enqueue and return the request's queue position, or hand the
+    /// request back if the queue is closed (the shard rebalanced away or
+    /// the server shut down) — the caller re-routes against a fresh
+    /// layout.
+    fn push(&self, req: Req) -> Result<u64, Req> {
         // Failpoint: reject the push as if the queue had closed under
         // the caller — the re-route path must hand the request back
         // losslessly and retry against a fresh layout. An every-k spec
@@ -478,22 +432,24 @@ impl ShardQueue {
         if crate::failpoint::triggered("shard.queue.push_fail") {
             return Err(req);
         }
-        {
+        let pos = {
             let mut q = self.q.lock().expect("shard queue poisoned");
             if self.closed.load(SeqCst) {
                 return Err(req);
             }
-            q.push_back(req);
-            self.len.store(q.len(), SeqCst);
-        }
+            q.reqs.push_back(req);
+            q.pushed += 1;
+            self.len.store(q.reqs.len(), SeqCst);
+            q.pushed
+        };
         self.wake();
-        Ok(())
+        Ok(pos)
     }
 
     fn pop(&self) -> Option<Req> {
         let mut q = self.q.lock().expect("shard queue poisoned");
-        let r = q.pop_front();
-        self.len.store(q.len(), SeqCst);
+        let r = q.reqs.pop_front();
+        self.len.store(q.reqs.len(), SeqCst);
         r
     }
 
@@ -501,9 +457,9 @@ impl ShardQueue {
     /// never pays one mutex round-trip per request.
     fn pop_many(&self, max: usize, out: &mut Vec<Req>) -> usize {
         let mut q = self.q.lock().expect("shard queue poisoned");
-        let take = q.len().min(max);
-        out.extend(q.drain(..take));
-        self.len.store(q.len(), SeqCst);
+        let take = q.reqs.len().min(max);
+        out.extend(q.reqs.drain(..take));
+        self.len.store(q.reqs.len(), SeqCst);
         take
     }
 
@@ -544,12 +500,77 @@ struct ShardSnap {
     len: usize,
 }
 
-/// One shard's runtime identity: id, request queue, published snapshot.
+/// One shard's runtime identity: id, write queue, published snapshot.
 struct ShardRt {
     id: u64,
     queue: Arc<ShardQueue>,
     snap: Published<ShardSnap>,
-    served: AtomicU64,
+    /// Queue position the published snapshot covers: every request the
+    /// worker popped up to here is applied, fenced and visible.
+    published: AtomicU64,
+    /// Set once, when the shard retires in a split or merge: the shards
+    /// that took over its keys, each with the queue position of the last
+    /// straggler forwarded to it (`0` for none).
+    successors: OnceLock<Vec<Pending>>,
+    /// A deferred read is waiting on this shard: publish the next window
+    /// even if more writes are queued behind it.
+    awaited: AtomicBool,
+    /// Deferred reads parked until the next publish.
+    waiters: Mutex<Vec<Thread>>,
+}
+
+impl ShardRt {
+    /// A fresh shard runtime whose first snapshot (epoch 1) is `index`.
+    fn new(
+        domain: &Arc<Domain>,
+        id: u64,
+        index: &DynamicPolyFitSum,
+        updates_applied: u64,
+    ) -> Arc<ShardRt> {
+        Arc::new(ShardRt {
+            id,
+            queue: ShardQueue::new(),
+            snap: Published::new(
+                domain,
+                ShardSnap {
+                    view: index.snapshot(),
+                    id,
+                    updates_applied,
+                    rebuilds: index.rebuilds() as u64,
+                    epoch: 1,
+                    len: index.base_len() + index.buffered(),
+                },
+            ),
+            published: AtomicU64::new(0),
+            successors: OnceLock::new(),
+            awaited: AtomicBool::new(false),
+            waiters: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Ask the worker to publish what it holds: at the end of its current
+    /// window, or at once if it is parked on coalesced writes.
+    fn request_publish(&self) {
+        if !self.awaited.load(SeqCst) {
+            self.awaited.store(true, SeqCst);
+            self.queue.wake();
+        }
+    }
+
+    /// Wake every deferred read parked on this shard.
+    fn wake_readers(&self) {
+        let parked = std::mem::take(&mut *self.waiters.lock().expect("waiter list poisoned"));
+        for t in parked {
+            t.unpark();
+        }
+    }
+
+    /// Retire the shard: name its successors, then wake the reads parked
+    /// on it so they follow the handoff.
+    fn retire(&self, successors: Vec<Pending>) {
+        let _ = self.successors.set(successors);
+        self.wake_readers();
+    }
 }
 
 /// The routing table: shard `i` owns keys in `(bounds[i-1], bounds[i]]`
@@ -697,8 +718,6 @@ struct ServerShared {
     next_id: AtomicU64,
     splits: AtomicU64,
     merges: AtomicU64,
-    spanning: AtomicU64,
-    submitted: AtomicU64,
     threads: Mutex<Vec<JoinHandle<()>>>,
     history: Mutex<ShardedHistory>,
     cfg: ShardConfig,
@@ -713,6 +732,58 @@ impl ServerShared {
     fn mint_id(&self) -> u64 {
         self.next_id.fetch_add(1, SeqCst)
     }
+
+    /// The one read fold, behind both [`ShardHandle::submit`] and
+    /// [`ShardHandle::snapshot_query`]: answer `(lo, hi]` from the
+    /// published snapshots of the shards it touches, under one epoch pin,
+    /// folding the clipped parts in ascending shard order. Writes in
+    /// `pending` that are visible by now are dropped from it; if one a
+    /// touched (or retiring) shard has yet to publish remains, the read
+    /// is not answered and that shard comes back instead.
+    fn read(
+        &self,
+        reader: &Reader,
+        pending: &mut Vec<Pending>,
+        lo: f64,
+        hi: f64,
+    ) -> Result<ShardServed, Arc<ShardRt>> {
+        let bound = 2.0 * self.delta;
+        match classify_bounds(lo, hi) {
+            QueryBounds::NonFinite => return Ok(ShardServed::inline(None)),
+            QueryBounds::Reversed => {
+                return Ok(ShardServed::inline(Some(RangeAggregate::absolute(0.0, bound))))
+            }
+            QueryBounds::Proper => {}
+        }
+        let pin = reader.pin();
+        let layout = self.layout.load(&pin);
+        let (a, b) = layout.shard_range(lo, hi);
+        if !pending.is_empty() {
+            if let Some(rt) = settle(pending, layout, a, b) {
+                return Err(rt);
+            }
+        }
+        let mut shards = Vec::with_capacity(b - a + 1);
+        let mut agg: Option<RangeAggregate> = None;
+        for j in a..=b {
+            let (sl, sh) = layout.clip(j, a, b, lo, hi);
+            let snap = layout.shards[j].snap.load(&pin);
+            shards.push(ShardPoint {
+                shard: snap.id,
+                lo: sl,
+                hi: sh,
+                updates_applied: snap.updates_applied,
+                rebuilds: snap.rebuilds,
+                epoch: snap.epoch,
+            });
+            let part = RangeAggregate::absolute(snap.view.query(sl, sh), bound);
+            agg = Some(match agg {
+                None => part,
+                Some(acc) => acc.merge_sum(part),
+            });
+        }
+        Ok(ShardServed { answer: agg, shards, batch_len: 0, poisoned: false })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -720,123 +791,74 @@ impl ServerShared {
 // ---------------------------------------------------------------------------
 
 /// Client endpoint of a [`ShardedServer`]. `Send` but not `Sync` (it
-/// owns an epoch reader slot); clone it to give each client thread its
-/// own.
+/// owns an epoch reader slot and its own write positions); clone it to
+/// give each client thread its own.
 pub struct ShardHandle {
     shared: Arc<ServerShared>,
     reader: Reader,
+    /// This handle's writes not yet seen published, at most one per
+    /// shard: what read-your-writes waits for.
+    pending: RefCell<Vec<Pending>>,
+    /// Deferred reads this handle issued, and how many of them have
+    /// resolved. While one is outstanding, later reads defer behind it,
+    /// so a handle whose tickets are waited in order never sees a state
+    /// older than one it saw before (monotonic reads).
+    deferred: Cell<u64>,
+    resolved: Arc<AtomicU64>,
 }
 
 impl Clone for ShardHandle {
     fn clone(&self) -> Self {
-        ShardHandle { shared: Arc::clone(&self.shared), reader: self.shared.domain.reader() }
+        ShardHandle {
+            pending: RefCell::new(self.pending.borrow().clone()),
+            ..ShardHandle::new(&self.shared)
+        }
     }
 }
 
 impl ShardHandle {
-    /// Submit a query without waiting; pair with [`ShardTicket::wait`].
-    /// Degenerate bounds (non-finite, reversed) are answered inline —
-    /// the contract answer is state-independent, so no queue round-trip
-    /// is paid. Never panics: after shutdown the ticket resolves
-    /// poisoned.
-    pub fn submit(&self, lo: f64, hi: f64) -> ShardTicket {
-        self.shared.submitted.fetch_add(1, Relaxed);
-        let slot = GatherSlot::new();
-        let spin = self.shared.cfg.spin;
-        match classify_bounds(lo, hi) {
-            QueryBounds::NonFinite => {
-                slot.finish(ShardServed {
-                    answer: None,
-                    shards: Vec::new(),
-                    batch_len: 0,
-                    poisoned: false,
-                });
-                return ShardTicket { slot, spin };
-            }
-            QueryBounds::Reversed => {
-                slot.finish(ShardServed {
-                    answer: Some(RangeAggregate::absolute(0.0, 2.0 * self.shared.delta)),
-                    shards: Vec::new(),
-                    batch_len: 0,
-                    poisoned: false,
-                });
-                return ShardTicket { slot, spin };
-            }
-            QueryBounds::Proper => {}
-        }
-        let bound = 2.0 * self.shared.delta;
-        loop {
-            if !self.shared.open.load(SeqCst) {
-                slot.finish(ShardServed::poisoned());
-                return ShardTicket { slot, spin };
-            }
-            let pin = self.reader.pin();
-            let layout = self.shared.layout.load(&pin);
-            let (a, b) = layout.shard_range(lo, hi);
-            if a == b {
-                // Single-shard fast path (the common case): the sub-query
-                // finishes the client slot directly — no gather state, no
-                // parts rendezvous.
-                let sq = SubQuery {
-                    lo,
-                    hi,
-                    sink: QuerySink::Single { slot: Arc::clone(&slot), bound },
-                    deposited: false,
-                };
-                match layout.shards[a].queue.push(Req::Query(sq)) {
-                    Ok(()) => {
-                        drop(pin);
-                        return ShardTicket { slot, spin };
-                    }
-                    // The shard rebalanced away mid-route: the queue
-                    // hands the request back. Defuse it before it drops
-                    // so the poison sweep cannot pre-fill the write-once
-                    // slot, then re-route against the fresh layout.
-                    Err(Req::Query(back)) => back.defuse(),
-                    Err(_) => unreachable!("push hands back the request it was given"),
-                }
-                drop(pin);
-                thread::yield_now();
-                continue;
-            }
-            self.shared.spanning.fetch_add(1, Relaxed);
-            let gather = Arc::new(GatherState::new(b - a + 1, Arc::clone(&slot), bound));
-            let mut routed = true;
-            for j in a..=b {
-                let (sl, sh) = layout.clip(j, a, b, lo, hi);
-                let sq = SubQuery {
-                    lo: sl,
-                    hi: sh,
-                    sink: QuerySink::Gather { gather: Arc::clone(&gather), part: j - a },
-                    deposited: false,
-                };
-                if let Err(back) = layout.shards[j].queue.push(Req::Query(sq)) {
-                    // The shard rebalanced away mid-scatter. Cancel the
-                    // gather BEFORE the recovered request can drop, then
-                    // defuse it so this part never deposits — `remaining`
-                    // can no longer reach zero, so no racing depositor
-                    // composes a spurious poisoned answer into the
-                    // write-once slot. Already-routed parts deposit into
-                    // the abandoned gather harmlessly; the query is
-                    // re-routed against the fresh layout.
-                    gather.cancelled.store(true, SeqCst);
-                    match back {
-                        Req::Query(sq) => sq.defuse(),
-                        _ => unreachable!("push hands back the request it was given"),
-                    }
-                    routed = false;
-                    break;
-                }
-            }
-            drop(pin);
-            if routed {
-                return ShardTicket { slot, spin };
-            }
-            thread::yield_now();
+    fn new(shared: &Arc<ServerShared>) -> ShardHandle {
+        ShardHandle {
+            shared: Arc::clone(shared),
+            reader: shared.domain.reader(),
+            pending: RefCell::new(Vec::new()),
+            deferred: Cell::new(0),
+            resolved: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// Submit and block for the composed answer value.
+    /// Submit a query; pair with [`ShardTicket::wait`]. The answer is
+    /// computed here, on the caller's thread, from the published
+    /// snapshots of the shards the range touches. The read is deferred
+    /// to [`ShardTicket::wait`] only when one of those shards has not yet
+    /// published a write this handle submitted, or while an earlier
+    /// deferred read of this handle is unresolved — `submit` never
+    /// blocks. Never panics: after shutdown the ticket resolves poisoned.
+    pub fn submit(&self, lo: f64, hi: f64) -> ShardTicket {
+        if !self.shared.open.load(SeqCst) {
+            return ShardTicket(Ticket::Ready(ShardServed::poisoned()));
+        }
+        let mut pending = self.pending.borrow_mut();
+        let behind = self.deferred.get() > 0 && self.deferred.get() > self.resolved.load(SeqCst);
+        if !behind {
+            match self.shared.read(&self.reader, &mut pending, lo, hi) {
+                Ok(served) => return ShardTicket(Ticket::Ready(served)),
+                // Ask now, so the shard's fence runs while the caller
+                // goes on (an open-loop submitter may wait much later).
+                Err(blocker) => blocker.request_publish(),
+            }
+        }
+        self.deferred.set(self.deferred.get() + 1);
+        ShardTicket(Ticket::Deferred(Box::new(DeferredRead {
+            shared: Arc::clone(&self.shared),
+            lo,
+            hi,
+            pending: pending.clone(),
+            resolved: Arc::clone(&self.resolved),
+        })))
+    }
+
+    /// Submit and wait for the composed answer value.
     pub fn query(&self, lo: f64, hi: f64) -> Option<RangeAggregate> {
         self.submit(lo, hi).wait().answer
     }
@@ -846,62 +868,22 @@ impl ShardHandle {
         self.submit(lo, hi).wait()
     }
 
-    /// Wait-free read path: answer from the involved shards' published
-    /// snapshots under one epoch pin — no queue, no worker round-trip.
-    /// Eventually consistent (a snapshot trails the live shard by at
-    /// most the in-flight batch), but every answer is still exactly the
-    /// provenance-pinned state's answer, so it replays bitwise like any
-    /// queued answer.
+    /// [`Self::submit`]'s read without read-your-writes and without the
+    /// shutdown check: whatever the shards last published, even after
+    /// shutdown (each worker's final publish freezes exactly the state
+    /// its journal covers). Wait-free, and every answer replays bitwise
+    /// from its provenance like any other.
     pub fn snapshot_query(&self, lo: f64, hi: f64) -> ShardServed {
-        match classify_bounds(lo, hi) {
-            QueryBounds::NonFinite => {
-                return ShardServed {
-                    answer: None,
-                    shards: Vec::new(),
-                    batch_len: 0,
-                    poisoned: false,
-                }
-            }
-            QueryBounds::Reversed => {
-                return ShardServed {
-                    answer: Some(RangeAggregate::absolute(0.0, 2.0 * self.shared.delta)),
-                    shards: Vec::new(),
-                    batch_len: 0,
-                    poisoned: false,
-                }
-            }
-            QueryBounds::Proper => {}
+        match self.shared.read(&self.reader, &mut Vec::new(), lo, hi) {
+            Ok(served) => served,
+            Err(_) => unreachable!("a read with no pending writes never waits"),
         }
-        let bound = 2.0 * self.shared.delta;
-        let pin = self.reader.pin();
-        let layout = self.shared.layout.load(&pin);
-        let (a, b) = layout.shard_range(lo, hi);
-        let mut shards = Vec::with_capacity(b - a + 1);
-        let mut agg: Option<RangeAggregate> = None;
-        for j in a..=b {
-            let (sl, sh) = layout.clip(j, a, b, lo, hi);
-            let snap = layout.shards[j].snap.load(&pin);
-            let v = snap.view.query(sl, sh);
-            shards.push(ShardPoint {
-                shard: snap.id,
-                lo: sl,
-                hi: sh,
-                updates_applied: snap.updates_applied,
-                rebuilds: snap.rebuilds,
-                epoch: snap.epoch,
-            });
-            let part = RangeAggregate::absolute(v, bound);
-            agg = Some(match agg {
-                None => part,
-                Some(acc) => acc.merge_sum(part),
-            });
-        }
-        ShardServed { answer: agg, shards, batch_len: 0, poisoned: false }
     }
 
     /// Enqueue a write, routed to the owning shard (fire-and-forget).
     /// Finiteness is validated here, so a rejected update never occupies
-    /// queue space and a worker's drain cannot fail.
+    /// queue space and a worker's drain cannot fail. The handle's later
+    /// reads of that shard reflect the write.
     ///
     /// # Panics
     /// Panics if the server has been shut down.
@@ -918,9 +900,12 @@ impl ShardHandle {
             assert!(self.shared.open.load(SeqCst), "sharded server has shut down");
             let pin = self.reader.pin();
             let layout = self.shared.layout.load(&pin);
-            let j = layout.shard_for_key(update.key());
-            match layout.shards[j].queue.push(req) {
-                Ok(()) => return Ok(()),
+            let rt = &layout.shards[layout.shard_for_key(update.key())];
+            match rt.queue.push(req) {
+                Ok(pos) => {
+                    note(&mut self.pending.borrow_mut(), rt, pos);
+                    return Ok(());
+                }
                 Err(back) => req = back,
             }
             drop(pin);
@@ -958,8 +943,6 @@ pub struct ShardStats {
     pub len: usize,
     /// Buffered deltas awaiting compaction.
     pub buffered: usize,
-    /// Query sub-requests this shard answered.
-    pub served: u64,
 }
 
 /// Server-wide counters plus the per-shard vector.
@@ -971,10 +954,6 @@ pub struct ShardedStats {
     pub layout_version: u64,
     /// Current shard bounds (`shards.len() - 1` keys).
     pub bounds: Vec<f64>,
-    /// Query requests submitted through handles.
-    pub submitted: u64,
-    /// Requests that spanned more than one shard.
-    pub spanning: u64,
     /// Completed shard splits.
     pub splits: u64,
     /// Completed shard merges.
@@ -1032,10 +1011,10 @@ impl ShardedServer {
     /// [`Self::start`] with a durable write path: every shard journals
     /// its updates into `<wal_dir>/shard-{id}.wal` (checkpointing on
     /// compaction swaps), rebalance cutovers append to the layout log,
-    /// and a worker group-fsyncs its window's appends before answering
-    /// any query in that window — an acknowledged answer implies the
-    /// writes it reflects are durable. Recover the whole server after a
-    /// crash with [`Self::recover`].
+    /// and a worker group-fsyncs its window's appends before publishing
+    /// the snapshot that holds them — every answer reflects only durable
+    /// writes. Recover the whole server after a crash with
+    /// [`Self::recover`].
     pub fn start_with_wal(
         records: Vec<Record>,
         delta: f64,
@@ -1055,57 +1034,41 @@ impl ShardedServer {
         wal: Option<(PathBuf, SyncPolicy)>,
     ) -> Result<ShardedServer, WalError> {
         let cfg = cfg.validated();
+        validate_records(&records).map_err(WalError::Build)?;
         sort_records(&mut records);
-        let records = dedup_sum(records);
-        if records.is_empty() {
-            return Err(WalError::Build(PolyFitError::EmptyDataset));
-        }
+        let mut records = dedup_sum(records);
         let n = records.len();
         let shards = cfg.shards.min(n);
+        // Cut the sorted set into per-shard chunks from the back: each
+        // chunk moves into its shard, and no full copy outlives the cut.
+        let mut chunks = Vec::with_capacity(shards);
+        for i in (1..shards).rev() {
+            chunks.push(records.split_off(i * n / shards));
+        }
+        records.shrink_to_fit();
+        chunks.push(records);
+        chunks.reverse();
         let domain = Domain::new();
         let mut history = ShardedHistory::default();
         let mut rts = Vec::with_capacity(shards);
         let mut indexes = Vec::with_capacity(shards);
         let mut bounds = Vec::with_capacity(shards.saturating_sub(1));
-        for i in 0..shards {
-            let (a, b) = (i * n / shards, (i + 1) * n / shards);
-            let chunk = records[a..b].to_vec();
+        for (i, chunk) in chunks.into_iter().enumerate() {
             if i + 1 < shards {
                 bounds.push(chunk.last().expect("non-empty chunk").key);
             }
-            let mut index = DynamicPolyFitSum::with_options(
-                chunk.clone(),
-                delta,
-                config,
-                cfg.buffer_limit,
-                &cfg.build,
-            )
-            .map_err(WalError::Build)?;
-            index.set_step_budget(0);
             let id = i as u64;
+            if cfg.record_history {
+                history.initial.push((id, chunk.clone()));
+            }
+            let mut index =
+                DynamicPolyFitSum::with_options(chunk, delta, config, cfg.buffer_limit, &cfg.build)
+                    .map_err(WalError::Build)?;
+            index.set_step_budget(0);
             if let Some((dir, policy)) = &wal {
                 index.attach_wal(dir, &shard_wal_name(id), *policy, 0)?;
             }
-            if cfg.record_history {
-                history.initial.push((id, chunk));
-            }
-            let rt = Arc::new(ShardRt {
-                id,
-                queue: ShardQueue::new(),
-                snap: Published::new(
-                    &domain,
-                    ShardSnap {
-                        view: index.snapshot(),
-                        id,
-                        updates_applied: 0,
-                        rebuilds: 0,
-                        epoch: 1,
-                        len: index.base_len() + index.buffered(),
-                    },
-                ),
-                served: AtomicU64::new(0),
-            });
-            rts.push(rt);
+            rts.push(ShardRt::new(&domain, id, &index, 0));
             indexes.push(index);
         }
         let wal = match wal {
@@ -1125,8 +1088,6 @@ impl ShardedServer {
             next_id: AtomicU64::new(shards as u64),
             splits: AtomicU64::new(0),
             merges: AtomicU64::new(0),
-            spanning: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
             threads: Mutex::new(Vec::new()),
             history: Mutex::new(history),
             cfg,
@@ -1181,22 +1142,7 @@ impl ShardedServer {
                 delta = index.delta();
                 config = index.config();
             }
-            let rt = Arc::new(ShardRt {
-                id,
-                queue: ShardQueue::new(),
-                snap: Published::new(
-                    &domain,
-                    ShardSnap {
-                        view: index.snapshot(),
-                        id,
-                        updates_applied: report.head_seq,
-                        rebuilds: index.rebuilds() as u64,
-                        epoch: 1,
-                        len: index.base_len() + index.buffered(),
-                    },
-                ),
-                served: AtomicU64::new(0),
-            });
+            let rt = ShardRt::new(&domain, id, &index, report.head_seq);
             rts.push(Arc::clone(&rt));
             parts.push((rt, index, report.head_seq));
             reports.push((id, report));
@@ -1218,8 +1164,6 @@ impl ShardedServer {
             next_id: AtomicU64::new(next_id),
             splits: AtomicU64::new(0),
             merges: AtomicU64::new(0),
-            spanning: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
             threads: Mutex::new(Vec::new()),
             history: Mutex::new(ShardedHistory::default()),
             cfg,
@@ -1239,7 +1183,7 @@ impl ShardedServer {
 
     /// A new client endpoint (one epoch reader slot per handle).
     pub fn handle(&self) -> ShardHandle {
-        ShardHandle { shared: Arc::clone(&self.shared), reader: self.shared.domain.reader() }
+        ShardHandle::new(&self.shared)
     }
 
     /// Current counters and per-shard state.
@@ -1258,15 +1202,12 @@ impl ShardedServer {
                 epoch: s.epoch,
                 len: s.len,
                 buffered: s.view.buffered(),
-                served: rt.served.load(Relaxed),
             });
         }
         ShardedStats {
             shards,
             layout_version: layout.version,
             bounds: layout.bounds.clone(),
-            submitted: self.shared.submitted.load(Relaxed),
-            spanning: self.shared.spanning.load(Relaxed),
             splits: self.shared.splits.load(Relaxed),
             merges: self.shared.merges.load(Relaxed),
             limbo,
@@ -1291,10 +1232,10 @@ impl ShardedServer {
         )
     }
 
-    /// Stop accepting requests, drain queued work, join every worker
-    /// (including rebalance-spawned ones), and return the final stats.
-    /// Requests still in flight when a worker dies resolve as poisoned
-    /// rather than hanging their clients.
+    /// Stop accepting requests, apply and publish every queued write,
+    /// join every worker (including rebalance-spawned ones), and return
+    /// the final stats. Deferred reads resolve poisoned rather than
+    /// hanging their clients.
     pub fn shutdown(self) -> ShardedStats {
         self.shared.open.store(false, SeqCst);
         loop {
@@ -1303,6 +1244,7 @@ impl ShardedServer {
                 let layout = self.shared.layout.load(&pin);
                 for rt in &layout.shards {
                     rt.queue.close();
+                    rt.wake_readers();
                 }
             }
             let batch: Vec<JoinHandle<()>> = {
@@ -1313,9 +1255,9 @@ impl ShardedServer {
                 break;
             }
             for h in batch {
-                // A panicked worker already poisoned its in-flight
-                // requests via the SubQuery drop sweep; shutdown stays
-                // tolerant so the remaining workers still join.
+                // A panicked worker already fail-stopped the server;
+                // shutdown stays tolerant so the remaining workers still
+                // join.
                 let _ = h.join();
             }
         }
@@ -1340,7 +1282,7 @@ fn spawn_worker(
         // re-route into the still-advertised dead shard. The guard
         // fail-stops the whole server: poisoned answers, never wrong
         // ones, never a hang.
-        let guard = WorkerFailStop { shared: Arc::clone(&shared), queue: Arc::clone(&rt.queue) };
+        let guard = WorkerFailStop { shared: Arc::clone(&shared), rt: Arc::clone(&rt) };
         Worker {
             shared,
             reader,
@@ -1348,6 +1290,8 @@ fn spawn_worker(
             index,
             updates_applied,
             epoch,
+            popped: 0,
+            published_at: Instant::now(),
             dirty: false,
             wal_dirty: false,
         }
@@ -1357,14 +1301,13 @@ fn spawn_worker(
 }
 
 /// Worker-death fail-stop: on an unwinding worker thread, flip the
-/// server closed (submits resolve poisoned instead of re-routing into
-/// the dead shard forever), close the dead shard's queue, and drain it —
-/// dropping each recovered request runs the `SubQuery` poison sweep, so
-/// every parked client wakes with a poisoned (not missing, not wrong)
-/// answer. Inert on normal exits.
+/// server closed (submits resolve poisoned, writes are refused instead
+/// of re-routing into the dead shard forever), close and drain the dead
+/// shard's queue, and wake the reads deferred on it — they resolve
+/// poisoned (not missing, not wrong). Inert on normal exits.
 struct WorkerFailStop {
     shared: Arc<ServerShared>,
-    queue: Arc<ShardQueue>,
+    rt: Arc<ShardRt>,
 }
 
 impl Drop for WorkerFailStop {
@@ -1373,29 +1316,32 @@ impl Drop for WorkerFailStop {
             return;
         }
         self.shared.open.store(false, SeqCst);
-        self.queue.close();
-        while let Some(req) = self.queue.pop() {
+        self.rt.queue.close();
+        while let Some(req) = self.rt.queue.pop() {
             drop(req);
         }
+        self.rt.wake_readers();
         // A rebalance in flight dies with this worker; release the flag
         // so surviving workers are not wedged behind it at shutdown.
         self.shared.rebalance.store(false, SeqCst);
     }
 }
 
-/// Forward a recovered straggler update to `queue`, retrying while the
-/// rejection is transient (an injected push failure) rather than a real
-/// close. A genuinely closed target only happens under shutdown or
-/// worker-death fail-stop, where dropping the unacked update is
-/// equivalent to a crash before its append.
-fn forward_update(queue: &ShardQueue, u: Update) {
+/// Forward a recovered straggler update to `queue` and return its new
+/// queue position, retrying while the rejection is transient (an
+/// injected push failure) rather than a real close. A genuinely closed
+/// target only happens under shutdown or worker-death fail-stop, where
+/// dropping the unacked update is equivalent to a crash before its
+/// append; the position is then `u64::MAX`, which is never published,
+/// so a read waiting on it resolves poisoned.
+fn forward_update(queue: &ShardQueue, u: Update) -> u64 {
     let mut req = Req::Update(u);
     loop {
         match queue.push(req) {
-            Ok(()) => return,
+            Ok(pos) => return pos,
             Err(back) => {
                 if queue.closed.load(SeqCst) {
-                    return;
+                    return u64::MAX;
                 }
                 req = back;
                 thread::yield_now();
@@ -1423,12 +1369,16 @@ struct Worker {
     updates_applied: u64,
     /// Snapshot publication counter; the initial snapshot is epoch 1.
     epoch: u64,
+    /// Requests taken from the current queue; once published, the
+    /// shard's `published` position.
+    popped: u64,
+    /// When the current snapshot was published.
+    published_at: Instant,
     /// Control-visible state changed since the last publication.
     dirty: bool,
     /// Journal appends not yet fenced to disk. The group-commit fsync
-    /// runs at ack points only — before a batch's queries are answered,
-    /// before a merge handoff is absorbed, at an idle boundary, and at
-    /// shutdown — so write-only windows coalesce their fences.
+    /// runs right before a publish, so a window's writes share one fence
+    /// and no reader ever sees an unfenced update.
     wal_dirty: bool,
 }
 
@@ -1436,25 +1386,23 @@ impl Worker {
     fn run(mut self) {
         let _ = self.rt.queue.worker.set(thread::current());
         loop {
+            // Size triggers are checked before waiting, so a shard born
+            // oversized (a split child, a merge) rebalances without
+            // waiting for a write.
+            if let Flow::Exit = self.maybe_rebalance() {
+                return;
+            }
             if !self.wait_for_traffic() {
                 break;
             }
             let batch = self.collect_window();
             self.process_batch(batch);
-            if self.shared.cfg.compaction_budget > 0
-                && (self.index.is_compacting() || self.index.needs_compaction())
-            {
-                self.step_idle_compaction();
-                self.maybe_publish();
-            }
-            if let Flow::Exit = self.maybe_rebalance() {
-                return;
-            }
+            self.commit();
+            self.step_compaction_if_due();
         }
-        // Closed and drained: push any buffered journal appends to disk
-        // and publish the final state so stats and the wait-free read
-        // path stay coherent after shutdown.
-        self.index.wal_sync().expect("wal sync at shutdown failed (fail-stop)");
+        // Closed and drained: fence any buffered journal appends and
+        // publish the final state, so stats and snapshot reads stay
+        // coherent after shutdown.
         self.maybe_publish();
     }
 
@@ -1481,43 +1429,39 @@ impl Worker {
                 queue.close();
                 continue;
             }
-            if self.shared.cfg.compaction_budget > 0
-                && (self.index.is_compacting() || self.index.needs_compaction())
-            {
-                self.step_idle_compaction();
+            if self.awaited() {
                 self.maybe_publish();
                 continue;
             }
+            if self.step_compaction_if_due() {
+                continue;
+            }
+            let queue = &self.rt.queue;
             if spins < self.shared.cfg.spin {
                 spins += 1;
                 std::hint::spin_loop();
                 continue;
             }
             queue.parked.store(true, SeqCst);
-            if queue.len.load(SeqCst) > 0 || queue.closed.load(SeqCst) {
-                queue.parked.store(false, SeqCst);
+            if queue.len.load(SeqCst) > 0 || queue.closed.load(SeqCst) || self.awaited() {
+                self.rt.queue.parked.store(false, SeqCst);
                 continue;
             }
             thread::park_timeout(IDLE_POLL);
             self.rt.queue.parked.store(false, SeqCst);
-            // Idle housekeeping: drain any reclaimable snapshots, and
-            // fence deferred journal appends — but only when the queue
-            // is still empty after a full park (an empty queue right
-            // after a drain usually just means the submitters haven't
-            // been scheduled yet; fencing there would pay one fsync per
-            // drain cycle). An idle shard never sits on unsynced
-            // journal bytes longer than one park interval.
-            self.rt.snap.try_reclaim();
-            if queue.len.load(SeqCst) == 0 {
-                self.wal_fence();
+            // Idle housekeeping: a park interval without a write publishes
+            // what the last windows coalesced; reclaimable snapshots drain.
+            if self.rt.queue.len.load(SeqCst) == 0 {
+                self.maybe_publish();
             }
+            self.rt.snap.try_reclaim();
             spins = 0;
         }
     }
 
-    /// Pop up to `max_batch` requests, holding the deadline window open
-    /// (yielding, not spinning — on one hardware thread the submitters
-    /// need the core to fill the window).
+    /// Pop up to `max_batch` writes, holding the group-commit window
+    /// open until its deadline (yielding, not spinning — on one hardware
+    /// thread the submitters need the core to fill the window).
     fn collect_window(&mut self) -> Vec<Req> {
         let cfg = &self.shared.cfg;
         let queue = &self.rt.queue;
@@ -1532,7 +1476,7 @@ impl Worker {
         let opened = Instant::now();
         loop {
             if out.len() < max_batch {
-                queue.pop_many(max_batch - out.len(), &mut out);
+                self.popped += queue.pop_many(max_batch - out.len(), &mut out) as u64;
             }
             if out.len() >= max_batch
                 || queue.closed.load(SeqCst)
@@ -1547,87 +1491,66 @@ impl Worker {
         out
     }
 
-    /// Apply the batch: drain writes first (every answer in the batch
-    /// reflects one quiesced state), publish, then answer all sub-queries
-    /// with one engine-batched call.
+    /// Apply a window of writes (the caller fences and publishes them);
+    /// a merge handoff in the window is absorbed after them.
     fn process_batch(&mut self, batch: Vec<Req>) {
         if batch.is_empty() {
             return;
         }
         // Failpoint: worker death (or a stall) with a drained batch in
-        // hand, nothing of it applied or journaled. A panic drop-poisons
-        // every request in `batch` and the `WorkerFailStop` guard
-        // fail-stops the server; recovery replays the synced prefix.
+        // hand, nothing of it applied or journaled. A panic fail-stops
+        // the server through the `WorkerFailStop` guard; recovery
+        // replays the synced prefix.
         crate::failpoint::hit("shard.worker.panic");
-        let mut queries: Vec<SubQuery> = Vec::new();
         let mut handoff: Option<Box<MergeHandoff>> = None;
-        let mut logged: Vec<Update> = Vec::new();
+        let mut updates: Vec<Update> = Vec::with_capacity(batch.len());
         for req in batch {
             match req {
-                Req::Update(u) => {
-                    match u {
-                        Update::Insert { key, measure } => self.index.insert(key, measure),
-                        Update::Delete { key, measure } => self.index.delete(key, measure),
-                    }
-                    self.updates_applied += 1;
-                    self.dirty = true;
-                    self.wal_dirty = true;
-                    if self.shared.cfg.record_history {
-                        logged.push(u);
-                    }
-                }
-                Req::Query(sq) => queries.push(sq),
+                Req::Update(u) => updates.push(u),
                 Req::Merge(h) => handoff = Some(h),
             }
         }
-        if !logged.is_empty() {
-            let mut hist = self.shared.history.lock().expect("history poisoned");
-            hist.logs.entry(self.rt.id).or_default().updates.extend(logged);
-        }
-        // Group commit: one write + fsync covers every deferred append,
-        // before any query in this window is answered — an acknowledged
-        // answer implies the writes it reflects are durable. Write-only
-        // windows defer the fence (nothing is being acked), so a burst
-        // of them shares the next window's fsync; a merge handoff also
-        // fences, so the journal covers the pre-merge state before the
-        // layout changes. Fail-stop on a dead log device: the panic
-        // poisons the in-flight requests rather than acking non-durable
-        // state.
-        //
-        // Failpoint: skip one query-ack fence (never a merge handoff's).
-        // `wal_dirty` stays set, so the next boundary — idle park, next
-        // batch, rebalance or shutdown — forces the sync: injection can
-        // delay a fence, never elide it.
-        let skip_ack = self.wal_dirty
-            && handoff.is_none()
-            && !queries.is_empty()
-            && crate::failpoint::triggered("shard.fence.skip");
-        if (!queries.is_empty() || handoff.is_some()) && !skip_ack {
-            self.wal_fence();
-        }
-        self.maybe_publish();
-        if !queries.is_empty() {
-            let ranges: Vec<(f64, f64)> = queries.iter().map(|s| (s.lo, s.hi)).collect();
-            let answers = DynamicPolyFitSum::query_batch(&self.index, &ranges);
-            let batch_len = queries.len();
-            let (id, ua, rb, ep) =
-                (self.rt.id, self.updates_applied, self.index.rebuilds() as u64, self.epoch);
-            self.rt.served.fetch_add(batch_len as u64, Relaxed);
-            for (sq, v) in queries.into_iter().zip(answers) {
-                let point = ShardPoint {
-                    shard: id,
-                    lo: sq.lo,
-                    hi: sq.hi,
-                    updates_applied: ua,
-                    rebuilds: rb,
-                    epoch: ep,
-                };
-                sq.answer(v, point, batch_len);
+        if !updates.is_empty() {
+            // One journaled batch: the records are framed back to back,
+            // then folded in order — the same state as one insert/delete
+            // each.
+            self.index
+                .apply_updates(updates.iter().copied())
+                .expect("updates are validated finite at the handle");
+            self.updates_applied += updates.len() as u64;
+            self.dirty = true;
+            self.wal_dirty = true;
+            if self.shared.cfg.record_history {
+                let mut hist = self.shared.history.lock().expect("history poisoned");
+                hist.logs.entry(self.rt.id).or_default().updates.extend(updates);
             }
         }
         if let Some(h) = handoff {
             self.absorb(*h);
         }
+    }
+
+    /// Group commit: fence and publish the writes applied so far — one
+    /// fsync and one snapshot for all of them — when a deferred read
+    /// waits on this shard or the published state is [`PUBLISH_LAG`]
+    /// old. Otherwise the next window joins the fence, until a read asks,
+    /// a compaction step is due, or the shard idles for a park interval
+    /// (see [`Self::wait_for_traffic`]).
+    fn commit(&mut self) {
+        // Failpoint: withhold this window's publish. `dirty` and
+        // `wal_dirty` stay set, so the next boundary — a waiting read,
+        // going idle, a compaction step, rebalance or shutdown — fences
+        // and publishes: injection can delay a publish, never elide it.
+        let withheld = self.wal_dirty && crate::failpoint::triggered("shard.fence.skip");
+        let due = self.awaited() || self.published_at.elapsed() >= PUBLISH_LAG;
+        if due && !withheld {
+            self.maybe_publish();
+        }
+    }
+
+    /// A deferred read waits on writes this shard has not published.
+    fn awaited(&self) -> bool {
+        self.dirty && self.rt.awaited.load(SeqCst)
     }
 
     fn make_snap(&self) -> ShardSnap {
@@ -1642,14 +1565,38 @@ impl Worker {
     }
 
     /// Publish the current state if it changed since the last
-    /// publication — one pointer swap, wait-free for readers.
+    /// publication — one pointer swap, wait-free for readers — then wake
+    /// the reads deferred on it. Only durable state is published: the
+    /// fence covering every applied update comes first. Fail-stop on a
+    /// dead log device — the worker dies before any reader can see
+    /// state the journal does not hold.
     fn maybe_publish(&mut self) {
         if !self.dirty {
             return;
         }
+        self.wal_fence();
         self.epoch += 1;
+        self.rt.awaited.store(false, SeqCst);
         self.rt.snap.publish(self.make_snap());
+        self.rt.published.store(self.popped, SeqCst);
+        self.published_at = Instant::now();
         self.dirty = false;
+        self.rt.wake_readers();
+    }
+
+    /// One bounded compaction step when a rebuild is due or running
+    /// (loop-driven compaction on). A step can take milliseconds, so
+    /// whatever the shard holds unpublished is published first — no
+    /// reader waits behind compaction. Returns whether a step ran.
+    fn step_compaction_if_due(&mut self) -> bool {
+        if self.shared.cfg.compaction_budget == 0
+            || !(self.index.is_compacting() || self.index.needs_compaction())
+        {
+            return false;
+        }
+        self.maybe_publish();
+        self.step_idle_compaction();
+        true
     }
 
     /// Stage if needed (recording the per-shard provenance point), then
@@ -1688,7 +1635,7 @@ impl Worker {
     fn drain_queue_fully(&mut self) {
         loop {
             let mut batch = Vec::new();
-            self.rt.queue.pop_many(usize::MAX, &mut batch);
+            self.popped += self.rt.queue.pop_many(usize::MAX, &mut batch) as u64;
             if batch.is_empty() {
                 return;
             }
@@ -1782,25 +1729,8 @@ impl Worker {
             let _ = self.index.detach_wal();
             Journal::remove_files(&w.dir, &shard_wal_name(self.rt.id));
         }
-        let child_rt = |id: u64, index: &DynamicPolyFitSum| {
-            Arc::new(ShardRt {
-                id,
-                queue: ShardQueue::new(),
-                snap: Published::new(
-                    &self.shared.domain,
-                    ShardSnap {
-                        view: index.snapshot(),
-                        id,
-                        updates_applied: 0,
-                        rebuilds: 0,
-                        epoch: 1,
-                        len: index.base_len() + index.buffered(),
-                    },
-                ),
-                served: AtomicU64::new(0),
-            })
-        };
-        let (lrt, rrt) = (child_rt(lid, &li), child_rt(rid, &ri));
+        let domain = &self.shared.domain;
+        let (lrt, rrt) = (ShardRt::new(domain, lid, &li, 0), ShardRt::new(domain, rid, &ri, 0));
         {
             let pin = self.reader.pin();
             let cur = self.shared.layout.load(&pin);
@@ -1823,34 +1753,22 @@ impl Worker {
         // are not yet forwarded — racing submits bounce off the closed
         // queue and must re-route to the children losslessly.
         crate::failpoint::hit("shard.split.post_close");
-        // Stragglers that raced the close: updates forward to the owning
-        // child (its worker logs them on application); queries answer
-        // from the parent's final state — every update routed to the
-        // parent before the close is already folded in, so the session
-        // guarantee holds.
-        let (pid, pua, prb, pep) =
-            (self.rt.id, self.updates_applied, self.index.rebuilds() as u64, self.epoch);
+        // Stragglers that raced the close forward to the owning child
+        // (its worker logs them on application). The parent then names
+        // both children with the positions its stragglers landed at, so
+        // a handle's read waits for its own straggler on the child.
+        let (mut lpos, mut rpos) = (0, 0);
         while let Some(req) = self.rt.queue.pop() {
             match req {
-                Req::Update(u) => {
-                    let side = if u.key() <= key { &lrt } else { &rrt };
-                    forward_update(&side.queue, u);
-                }
-                Req::Query(sq) => {
-                    let v = DynamicPolyFitSum::query(&self.index, sq.lo, sq.hi);
-                    let point = ShardPoint {
-                        shard: pid,
-                        lo: sq.lo,
-                        hi: sq.hi,
-                        updates_applied: pua,
-                        rebuilds: prb,
-                        epoch: pep,
-                    };
-                    sq.answer(v, point, 1);
-                }
+                Req::Update(u) if u.key() <= key => lpos = lpos.max(forward_update(&lrt.queue, u)),
+                Req::Update(u) => rpos = rpos.max(forward_update(&rrt.queue, u)),
                 Req::Merge(_) => unreachable!("rebalances are serialized"),
             }
         }
+        self.rt.retire(vec![
+            Pending { rt: Arc::clone(&lrt), pos: lpos },
+            Pending { rt: Arc::clone(&rrt), pos: rpos },
+        ]);
         {
             let mut threads = self.shared.threads.lock().expect("thread registry poisoned");
             threads.push(spawn_worker(&self.shared, lrt, li, 0, 1));
@@ -1893,21 +1811,17 @@ impl Worker {
             id: self.rt.id,
             from_right,
             index: Box::new(self.index.clone()),
-            queue: Arc::clone(&self.rt.queue),
-            snap: self.index.snapshot(),
-            updates_applied: self.updates_applied,
-            rebuilds: self.index.rebuilds() as u64,
-            epoch: self.epoch,
+            rt: Arc::clone(&self.rt),
         });
         // Failpoint: the retiring shard is frozen, fenced, and closed,
         // but the handoff has not reached the neighbour — a panic here
         // loses only in-memory state the journal already covers; a delay
-        // races queries against the closed queue.
+        // races writes against the closed queue.
         crate::failpoint::hit("shard.merge.handoff");
         let mut req = Req::Merge(handoff);
         loop {
             match neighbour.queue.push(req) {
-                Ok(()) => return Flow::Exit,
+                Ok(_) => return Flow::Exit,
                 Err(back) => {
                     if !neighbour.queue.closed.load(SeqCst) {
                         // Injected transient push failure: the neighbour
@@ -1918,9 +1832,8 @@ impl Worker {
                     }
                     // The neighbour's queue genuinely closed under us —
                     // only shutdown (or worker-death fail-stop) does
-                    // that while we hold the rebalance flag. Drain our
-                    // own stragglers (the drop sweep poisons any query
-                    // we cannot answer sensibly) and exit.
+                    // that while we hold the rebalance flag. Apply our
+                    // own stragglers and exit.
                     self.shared.rebalance.store(false, SeqCst);
                     self.drain_closed_leftovers();
                     return Flow::Exit;
@@ -1938,14 +1851,16 @@ impl Worker {
         }
     }
 
-    /// Answer/apply whatever raced into the closed queue before exit.
+    /// Apply and publish whatever raced into the closed queue before
+    /// exit.
     fn drain_closed_leftovers(&mut self) {
         let mut batch = Vec::new();
         while let Some(r) = self.rt.queue.pop() {
+            self.popped += 1;
             batch.push(r);
         }
         self.process_batch(batch);
-        self.wal_fence();
+        self.maybe_publish();
     }
 
     /// Execute a merge handed off by the neighbour: build the merged
@@ -1990,22 +1905,7 @@ impl Worker {
             Journal::remove_files(&w.dir, &shard_wal_name(left_id));
             Journal::remove_files(&w.dir, &shard_wal_name(right_id));
         }
-        let new_rt = Arc::new(ShardRt {
-            id: mid,
-            queue: ShardQueue::new(),
-            snap: Published::new(
-                &self.shared.domain,
-                ShardSnap {
-                    view: merged.snapshot(),
-                    id: mid,
-                    updates_applied: 0,
-                    rebuilds: 0,
-                    epoch: 1,
-                    len: merged.base_len() + merged.buffered(),
-                },
-            ),
-            served: AtomicU64::new(0),
-        });
+        let new_rt = ShardRt::new(&self.shared.domain, mid, &merged, 0);
         let _ = new_rt.queue.worker.set(thread::current());
         {
             let pin = self.reader.pin();
@@ -2021,59 +1921,27 @@ impl Worker {
             drop(pin);
             self.shared.layout.publish(Layout { version, bounds, shards });
         }
-        let old_rt = Arc::clone(&self.rt);
-        old_rt.queue.close();
-        // Adopt stragglers from both retired queues. Updates re-queue on
-        // the merged shard (logged on application, key-disjoint across
-        // the two sources); queries answer from the respective final
-        // frozen states.
-        let (oid, oua, orb, oep) =
-            (old_rt.id, self.updates_applied, self.index.rebuilds() as u64, self.epoch);
-        while let Some(req) = old_rt.queue.pop() {
-            match req {
-                Req::Update(u) => {
-                    forward_update(&new_rt.queue, u);
+        self.rt.queue.close();
+        // Adopt stragglers from both retired queues: they re-queue on the
+        // merged shard (logged on application, key-disjoint across the
+        // two sources), and each retired shard names the merged one with
+        // the position its last straggler landed at.
+        for old in [&self.rt, &h.rt] {
+            let mut pos = 0;
+            while let Some(req) = old.queue.pop() {
+                match req {
+                    Req::Update(u) => pos = pos.max(forward_update(&new_rt.queue, u)),
+                    Req::Merge(_) => unreachable!("rebalances are serialized"),
                 }
-                Req::Query(sq) => {
-                    let v = DynamicPolyFitSum::query(&self.index, sq.lo, sq.hi);
-                    let point = ShardPoint {
-                        shard: oid,
-                        lo: sq.lo,
-                        hi: sq.hi,
-                        updates_applied: oua,
-                        rebuilds: orb,
-                        epoch: oep,
-                    };
-                    sq.answer(v, point, 1);
-                }
-                Req::Merge(_) => unreachable!("rebalances are serialized"),
             }
-        }
-        while let Some(req) = h.queue.pop() {
-            match req {
-                Req::Update(u) => {
-                    forward_update(&new_rt.queue, u);
-                }
-                Req::Query(sq) => {
-                    let v = h.snap.query(sq.lo, sq.hi);
-                    let point = ShardPoint {
-                        shard: h.id,
-                        lo: sq.lo,
-                        hi: sq.hi,
-                        updates_applied: h.updates_applied,
-                        rebuilds: h.rebuilds,
-                        epoch: h.epoch,
-                    };
-                    sq.answer(v, point, 1);
-                }
-                Req::Merge(_) => unreachable!("rebalances are serialized"),
-            }
+            old.retire(vec![Pending { rt: Arc::clone(&new_rt), pos }]);
         }
         self.rt = new_rt;
         self.index = merged;
         self.index.set_step_budget(0);
         self.updates_applied = 0;
         self.epoch = 1;
+        self.popped = 0;
         self.dirty = false;
         self.shared.merges.fetch_add(1, Relaxed);
         self.shared.rebalance.store(false, SeqCst);
@@ -2259,6 +2127,25 @@ mod tests {
         }
     }
 
+    /// Poll the stats (bounded) until `done` holds on two reads 5 ms
+    /// apart with the same layout — a window applied just before the
+    /// first read is published (or rebalanced) by the second. Splits and
+    /// merges run on worker threads after the window that triggered
+    /// them, and reads do not queue behind them, so a test that inspects
+    /// the layout waits for the rebalance it expects.
+    fn wait_for(server: &ShardedServer, done: impl Fn(&ShardedStats) -> bool) -> ShardedStats {
+        let start = Instant::now();
+        loop {
+            let first = server.stats();
+            thread::sleep(Duration::from_millis(5));
+            let stats = server.stats();
+            let stable = done(&first) && stats.layout_version == first.layout_version;
+            if (stable && done(&stats)) || start.elapsed() > Duration::from_secs(20) {
+                return stats;
+            }
+        }
+    }
+
     #[test]
     fn config_validation_clamps_degenerate_values() {
         let cfg = ShardConfig {
@@ -2293,10 +2180,11 @@ mod tests {
     }
 
     #[test]
-    fn deadline_window_coalesces_tickets_into_batches() {
-        // One shard, generous window: tickets submitted back-to-back must
-        // coalesce into shared sweeps.
-        let server = ShardedServer::start(
+    fn a_windows_writes_share_one_fence() {
+        // One shard, generous window: writes submitted back-to-back land
+        // in one window, so one fence and one publish cover them all.
+        let dir = wal_dir("one-fence");
+        let server = ShardedServer::start_with_wal(
             records(1000),
             10.0,
             capped(),
@@ -2305,20 +2193,95 @@ mod tests {
                 max_batch: 64,
                 ..Default::default()
             },
+            &dir,
+            SyncPolicy::Batch,
         )
         .unwrap();
         let handle = server.handle();
-        let tickets: Vec<ShardTicket> = (0..64).map(|i| handle.submit(i as f64, 450.0)).collect();
-        let mut max_batch = 0;
-        for (i, t) in tickets.into_iter().enumerate() {
-            let served = t.wait();
-            assert!(!served.poisoned, "ticket {i}");
-            let direct = handle.snapshot_query(i as f64, 450.0);
-            assert_eq!(served.value().map(f64::to_bits), direct.value().map(f64::to_bits));
-            max_batch = max_batch.max(served.batch_len);
+        for i in 0..64 {
+            handle.insert(i as f64 * 7.25 + 0.1, 1.0).unwrap();
         }
-        assert!(max_batch >= 2, "a 100ms window must coalesce back-to-back submissions");
-        server.shutdown();
+        // Read-your-writes: this read waits for the window's publish.
+        let served = handle.query_served(0.0, 450.0);
+        assert!(!served.poisoned);
+        let point = served.shards[0];
+        assert_eq!(point.updates_applied, 64, "the read reflects every write");
+        assert_eq!(point.epoch, 2, "one publish after the initial snapshot covers the window");
+        let direct = handle.snapshot_query(0.0, 450.0);
+        assert_eq!(served.value().map(f64::to_bits), direct.value().map(f64::to_bits));
+        let stats = server.shutdown();
+        assert_eq!(stats.shards[0].epoch, 2, "no further publish, so no further fence");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes submitted by one handle, grouped by the shard position
+    /// that owns their key under fixed `bounds`.
+    fn routed_counts(keys: &[f64], bounds: &[f64]) -> Vec<u64> {
+        let mut counts = vec![0u64; bounds.len() + 1];
+        for &k in keys {
+            counts[bounds.partition_point(|&b| b < k)] += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn reads_see_the_handles_own_writes() {
+        for shards in [1, 2] {
+            // A 2 ms window keeps writes unpublished long enough for the
+            // writer's next read to be deferred behind them.
+            let cfg = ShardConfig {
+                shards,
+                deadline: Duration::from_millis(2),
+                ..recording_config(shards)
+            };
+            let server = ShardedServer::start(records(800), 8.0, capped(), cfg).unwrap();
+            let bounds = server.stats().bounds;
+            let writer = server.handle();
+            let reader = server.handle();
+            let mut keys = Vec::new();
+            let mut deferred = 0;
+            for i in 0..60 {
+                let key = (i * 37 % 400) as f64 + 0.25;
+                writer.insert(key, 2.0).unwrap();
+                keys.push(key);
+                // A handle with no writes of its own never waits.
+                assert!(matches!(reader.submit(-10.0, 500.0).0, Ticket::Ready(_)));
+                let ticket = writer.submit(-10.0, 500.0);
+                deferred += usize::from(matches!(ticket.0, Ticket::Deferred(_)));
+                let served = ticket.wait();
+                assert!(!served.poisoned, "{shards} shards, read {i}");
+                let counts = routed_counts(&keys, &bounds);
+                for p in &served.shards {
+                    assert_eq!(
+                        p.updates_applied, counts[p.shard as usize],
+                        "{shards} shards, read {i}: shard {} must reflect the handle's writes",
+                        p.shard
+                    );
+                }
+            }
+            assert!(deferred > 0, "{shards} shards: some read must have waited for its writes");
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn non_finite_records_are_a_typed_error() {
+        for (bad, at) in [(Record::new(f64::NAN, 1.0), 5), (Record::new(2.0, f64::INFINITY), 9)] {
+            let mut recs = records(40);
+            recs[at] = bad;
+            let cfg = ShardConfig { shards: 2, ..Default::default() };
+            assert_eq!(
+                ShardedServer::start(recs.clone(), 5.0, capped(), cfg).err(),
+                Some(PolyFitError::NonFiniteData { index: at })
+            );
+            let dir = wal_dir("non-finite");
+            match ShardedServer::start_with_wal(recs, 5.0, capped(), cfg, &dir, SyncPolicy::Batch) {
+                Err(WalError::Build(e)) => assert_eq!(e, PolyFitError::NonFiniteData { index: at }),
+                Err(other) => panic!("expected a build error, got {other}"),
+                Ok(_) => panic!("non-finite records must not start a server"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -2414,7 +2377,8 @@ mod tests {
         for i in 0..80 {
             handle.insert(1.23 + i as f64 * 4.0, 3.0).unwrap();
         }
-        // Force the live path to quiesce so snapshots observe the writes.
+        // Read-your-writes: this read waits until both shards publish
+        // the writes, so the snapshot below observes them too.
         let _ = handle.query_served(0.0, 750.0);
         let snap = handle.snapshot_query(-5.0, 800.0);
         assert!(!snap.poisoned && snap.answer.is_some());
@@ -2435,12 +2399,12 @@ mod tests {
                 observed.push(handle.query_served(i as f64, i as f64 + 500.0));
             }
         }
-        // Quiesce, then probe across the (possibly split) layout.
+        // Let the split land, then probe across the split layout.
+        let stats = wait_for(&server, |s| s.splits >= 1);
+        assert!(stats.splits >= 1, "split threshold must have fired: {stats:?}");
         for i in 0..40 {
             observed.push(handle.query_served(i as f64 * 18.0 - 4.0, i as f64 * 18.0 + 420.0));
         }
-        let stats = server.stats();
-        assert!(stats.splits >= 1, "split threshold must have fired: {stats:?}");
         assert!(stats.shards.len() >= 2);
         let oracle = server.oracle();
         for (i, served) in observed.iter().enumerate() {
@@ -2462,7 +2426,7 @@ mod tests {
             handle.insert(2.2 + (i % 50) as f64 * 7.0, 1.0).unwrap();
             observed.push(handle.query_served(i as f64 - 8.0, i as f64 + 220.0));
         }
-        let stats = server.stats();
+        let stats = wait_for(&server, |s| s.merges >= 1);
         assert!(stats.merges >= 1, "merge threshold must have fired: {stats:?}");
         let oracle = server.oracle();
         for (i, served) in observed.iter().enumerate() {
@@ -2483,22 +2447,34 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_drains_pending_requests() {
-        let server = ShardedServer::start(
+    fn writes_queued_at_shutdown_are_applied_and_recovered() {
+        let dir = wal_dir("shutdown-drain");
+        let server = ShardedServer::start_with_wal(
             records(600),
             8.0,
             capped(),
             ShardConfig { shards: 2, deadline: Duration::from_millis(40), ..Default::default() },
+            &dir,
+            SyncPolicy::Batch,
         )
         .unwrap();
         let handle = server.handle();
-        let tickets: Vec<ShardTicket> = (0..24).map(|i| handle.submit(i as f64, 250.0)).collect();
-        server.shutdown();
-        for t in tickets {
-            let served = t.wait();
-            assert!(!served.poisoned, "shutdown must answer queued requests");
-            assert!(served.answer.is_some());
+        for i in 0..24 {
+            handle.insert(i as f64 * 12.25 + 0.1, 1.0).unwrap();
         }
+        let stats = server.shutdown();
+        let applied: u64 = stats.shards.iter().map(|s| s.updates_applied).sum();
+        assert_eq!(applied, 24, "shutdown must apply and publish every queued write");
+        let probes: Vec<(f64, f64)> =
+            (0..20).map(|i| (i as f64 * 15.0 - 3.0, i as f64 * 15.0 + 90.0)).collect();
+        let expected = snapshot_values(&handle, &probes);
+        let frozen = ShardConfig { shards: 2, compaction_budget: 0, ..Default::default() };
+        let (recovered, reports) = ShardedServer::recover(&dir, frozen, SyncPolicy::Batch).unwrap();
+        let replayed: u64 = reports.iter().map(|(_, r)| r.head_seq).sum();
+        assert_eq!(replayed, 24, "every write applied at shutdown is durable");
+        assert_eq!(probe_values(&recovered.handle(), &probes), expected);
+        recovered.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2514,57 +2490,6 @@ mod tests {
         // After shutdown no reader pins anything; every retired snapshot
         // must have been reclaimable by the final publishes.
         assert!(stats.limbo <= stats.shards.len() * 2, "unreclaimed limbo: {stats:?}");
-    }
-
-    #[test]
-    fn recovered_subquery_defuses_instead_of_poisoning_the_slot() {
-        let slot = GatherSlot::new();
-        let queue = ShardQueue::new();
-        queue.close();
-        let sq = SubQuery {
-            lo: 0.0,
-            hi: 1.0,
-            sink: QuerySink::Single { slot: Arc::clone(&slot), bound: 2.0 },
-            deposited: false,
-        };
-        match queue.push(Req::Query(sq)) {
-            Ok(()) => panic!("closed queue must hand the request back"),
-            Err(Req::Query(back)) => back.defuse(),
-            Err(_) => unreachable!("push hands back the request it was given"),
-        }
-        // The write-once slot must still be empty for the re-route.
-        assert!(!slot.done.load(SeqCst), "defused sub-query must not pre-fill the slot");
-        slot.finish(ShardServed {
-            answer: Some(RangeAggregate::absolute(4.0, 2.0)),
-            shards: Vec::new(),
-            batch_len: 1,
-            poisoned: false,
-        });
-        let served = slot.wait(0);
-        assert!(!served.poisoned, "re-routed answer must win, not the drop sweep");
-        assert_eq!(served.value(), Some(4.0));
-    }
-
-    #[test]
-    fn gather_with_failed_last_part_never_composes_poisoned() {
-        let slot = GatherSlot::new();
-        let gather = Arc::new(GatherState::new(2, Arc::clone(&slot), 2.0));
-        // Part 0 already answered by its worker.
-        let point =
-            ShardPoint { shard: 0, lo: 0.0, hi: 1.0, updates_applied: 0, rebuilds: 0, epoch: 1 };
-        gather.deposit(0, PartState::Done { value: 1.0, point, batch_len: 1 });
-        // Part 1's push failed mid-scatter: the recovery order is cancel
-        // first, then defuse the recovered request — `remaining` can no
-        // longer reach zero, so nothing composes into the client slot.
-        gather.cancelled.store(true, SeqCst);
-        let sq = SubQuery {
-            lo: 1.0,
-            hi: 2.0,
-            sink: QuerySink::Gather { gather: Arc::clone(&gather), part: 1 },
-            deposited: false,
-        };
-        sq.defuse();
-        assert!(!slot.done.load(SeqCst), "abandoned gather must leave the slot for the re-route");
     }
 
     #[test]
@@ -2673,10 +2598,11 @@ mod tests {
         }
         let probes: Vec<(f64, f64)> =
             (0..40).map(|i| (i as f64 * 18.0 - 4.0, i as f64 * 18.0 + 420.0)).collect();
-        // Quiesce the layout (query_served drains each shard's queue past
-        // the writes) before reading the pre-crash routing table.
+        // Quiesce the layout — every shard under the threshold, so no
+        // split is left to run — before reading the pre-crash routing
+        // table.
+        let pre = wait_for(&server, |s| s.shards.iter().all(|p| p.len <= 700));
         let _ = probe_values(&handle, &probes);
-        let pre = server.stats();
         assert!(pre.splits >= 1, "split threshold must have fired: {pre:?}");
         server.shutdown();
         let expected = snapshot_values(&handle, &probes);
@@ -2705,10 +2631,9 @@ mod tests {
     #[test]
     fn sharded_wal_recovers_acked_writes_without_shutdown() {
         let dir = wal_dir("crash-no-shutdown");
-        // EveryUpdate: an applied update is on disk before its window's
-        // answers go out, so recovery from the live directory — no
-        // shutdown, no final syncs — must still reproduce every state a
-        // served answer reflected.
+        // Every published state is fenced first, so recovery from the
+        // live directory — no shutdown, no final syncs — must still
+        // reproduce every state a served answer reflected.
         let server = ShardedServer::start_with_wal(
             records(700),
             8.0,
@@ -2724,8 +2649,8 @@ mod tests {
         }
         let probes: Vec<(f64, f64)> =
             (0..20).map(|i| (i as f64 * 16.0 - 2.0, i as f64 * 16.0 + 180.0)).collect();
-        // query_served quiesces each shard past its queued writes; the
-        // acks imply the journal covers them.
+        // Read-your-writes: each probe waits until its shards publish
+        // the writes, and a publish implies the journal covers them.
         let expected = probe_values(&handle, &probes);
         let (recovered, _) = ShardedServer::recover(
             &dir,

@@ -541,16 +541,16 @@ pub fn scan_wal(path: &Path) -> Result<WalScan, WalError> {
 /// rebuilds | index_len | index bytes`. The checksum covers everything
 /// after itself.
 fn encode_checkpoint(updates_applied: u64, rebuilds: u64, index: &[u8]) -> Vec<u8> {
-    let mut body = Writer(Vec::with_capacity(24 + index.len()));
-    body.u64(updates_applied);
-    body.u64(rebuilds);
-    body.u64(index.len() as u64);
-    body.0.extend_from_slice(index);
-    let mut out = Vec::with_capacity(12 + body.0.len());
-    out.extend_from_slice(MAGIC_CKPT);
-    out.extend_from_slice(&fnv1a(&body.0).to_le_bytes());
-    out.extend_from_slice(&body.0);
-    out
+    let mut out = Writer(Vec::with_capacity(36 + index.len()));
+    out.0.extend_from_slice(MAGIC_CKPT);
+    out.u64(0); // checksum, patched below
+    out.u64(updates_applied);
+    out.u64(rebuilds);
+    out.u64(index.len() as u64);
+    out.0.extend_from_slice(index);
+    let cksum = fnv1a(&out.0[12..]);
+    out.0[4..12].copy_from_slice(&cksum.to_le_bytes());
+    out.0
 }
 
 /// A decoded checkpoint: the replay cursor and the serialized index.
@@ -566,7 +566,7 @@ pub struct Checkpoint {
 
 /// Read and verify a checkpoint file written by [`Journal`].
 pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, WalError> {
-    let bytes = match fs::read(path) {
+    let mut bytes = match fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
             return Err(WalError::Missing(path.to_path_buf()))
@@ -584,8 +584,12 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, WalError> {
     let updates_applied = r.u64().map_err(WalError::Decode)?;
     let rebuilds = r.u64().map_err(WalError::Decode)?;
     let index_len = r.u64().map_err(WalError::Decode)? as usize;
-    let index = r.take(index_len).map_err(WalError::Decode)?.to_vec();
-    Ok(Checkpoint { updates_applied, rebuilds, index })
+    r.take(index_len).map_err(WalError::Decode)?;
+    // The index bytes are the tail of the file buffer: trim the header
+    // off in place instead of copying them out.
+    bytes.truncate(36 + index_len);
+    bytes.drain(..36);
+    Ok(Checkpoint { updates_applied, rebuilds, index: bytes })
 }
 
 /// Log file path for a journal name.

@@ -64,19 +64,21 @@ pub fn dedup_max(records: Vec<Record>) -> Vec<Record> {
     fold_duplicates(records, f64::max)
 }
 
-fn fold_duplicates(records: Vec<Record>, fold: impl Fn(f64, f64) -> f64) -> Vec<Record> {
+/// Fold runs of equal keys in place, left to right into the first record
+/// of each run.
+fn fold_duplicates(mut records: Vec<Record>, fold: impl Fn(f64, f64) -> f64) -> Vec<Record> {
     debug_assert!(
         records.windows(2).all(|w| w[0].key <= w[1].key),
         "records must be sorted before deduplication"
     );
-    let mut out: Vec<Record> = Vec::with_capacity(records.len());
-    for r in records {
-        match out.last_mut() {
-            Some(last) if last.key == r.key => last.measure = fold(last.measure, r.measure),
-            _ => out.push(r),
+    records.dedup_by(|r, last| {
+        let dup = last.key == r.key;
+        if dup {
+            last.measure = fold(last.measure, r.measure);
         }
-    }
-    out
+        dup
+    });
+    records
 }
 
 /// Binary search over sorted keys: number of keys `≤ x` (the inclusive

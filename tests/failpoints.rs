@@ -321,12 +321,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Non-fatal schedules over a one-shard engine with a WAL attached:
-    /// stalled batches (the queue absorbs the backlog), windows that
-    /// ignore `max_batch`, and ack fences skipped-then-forced. Every
-    /// served answer must replay bitwise through the [`ShardedOracle`],
-    /// and recovery from the WAL must hold every update and answer like
-    /// the shutdown state — the skipped fence was forced later, never
-    /// elided.
+    /// stalled write windows (the queue absorbs the backlog), windows
+    /// that ignore `max_batch`, and fence-and-publish steps withheld,
+    /// then forced. Every served answer must replay bitwise through the
+    /// [`ShardedOracle`], and recovery from the WAL must hold every
+    /// update and answer like the shutdown state — the withheld publish
+    /// was delayed, never elided.
     #[test]
     fn serve_schedules_stay_bitwise_equal(seed in 0u64..u64::MAX) {
         let _g = serial();
@@ -493,7 +493,7 @@ proptest! {
                 observed.push((lo, lo + 80.0, writer.query_served(lo, lo + 80.0)));
             }
         }
-        // Domain-spanning probes force scatter-gather across whatever
+        // Domain-spanning probes fold parts from every shard of whatever
         // layout the races produced.
         for &(lo, hi) in &[(-250.0, 300.0), (-40.0, 40.0), (f64::NEG_INFINITY, 0.0)] {
             observed.push((lo, hi, writer.query_served(lo, hi)));
@@ -513,9 +513,9 @@ proptest! {
 }
 
 /// A bounded push-failure storm: every k-th enqueue is rejected as if
-/// the queue had closed. Submitters and straggler-forwarding must hand
-/// the request back losslessly and retry — no lost update, no dropped
-/// query, answers bitwise vs the oracle.
+/// the queue had closed. Writers and straggler-forwarding must hand the
+/// update back losslessly and retry — no lost update, reads that follow
+/// their own writes, answers bitwise vs the oracle.
 #[test]
 fn push_failure_storm_loses_nothing() {
     let _g = serial();
@@ -838,6 +838,107 @@ fn serve_loop_fail_stops_on_injected_fsync_error() {
     let served = recovered.handle().query_served(-50.0, 50.0);
     assert!(oracle.matches(&served), "recovered state diverged from the replay: {served:?}");
     recovered.shutdown();
+}
+
+/// Only durable state is published: a window whose fence fails is never
+/// visible — not to the writer (its read resolves poisoned), and not to
+/// a second handle polling `snapshot_query` while the worker dies.
+#[test]
+fn snapshots_never_show_an_update_whose_fence_failed() {
+    let _g = serial();
+    let _d = Disarm;
+    const HEAVY: f64 = 1e9;
+    let dir = fresh_wal_dir("durable-publish");
+    let server = wal_engine(&dir, 1_000, 0, SyncPolicy::Batch);
+    let writer = server.handle();
+    let observer = server.handle();
+    let (lo, hi) = (-200.0, 200.0);
+    let base = observer.snapshot_query(lo, hi).value().unwrap();
+    // Window 1 is fenced, so it is published and the writer sees it.
+    writer.insert(0.25, HEAVY).unwrap();
+    let first = writer.query_served(lo, hi);
+    assert!(!first.poisoned);
+    assert!((first.value().unwrap() - (base + HEAVY)).abs() < 1e3, "{first:?}");
+    // Window 2's fence fails: the worker fail-stops before publishing.
+    failpoint::configure("wal.fsync.err", "once:error").unwrap();
+    let watcher = std::thread::spawn(move || {
+        let mut seen = Vec::new();
+        for _ in 0..400 {
+            seen.push(observer.snapshot_query(lo, hi).value().unwrap());
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        seen
+    });
+    writer.insert(0.75, 2.0 * HEAVY).unwrap();
+    let second = writer.query_served(lo, hi);
+    let seen = watcher.join().expect("observer thread panicked");
+    assert_eq!(failpoint::fired("wal.fsync.err"), 1, "the armed fence failed");
+    assert!(second.poisoned && second.answer.is_none(), "{second:?}");
+    for (i, v) in seen.iter().enumerate() {
+        assert!((v - (base + HEAVY)).abs() < 1e3, "poll {i} saw unfenced state: {v}");
+    }
+    server.shutdown();
+    failpoint::reset();
+    // The failed window was written but never acknowledged: recovery may
+    // or may not hold it, and holds everything before it.
+    let (recovered, report) = recover_frozen(&dir);
+    assert!((1..=2).contains(&report.head_seq), "head {}", report.head_seq);
+    recovered.shutdown();
+}
+
+/// Read-your-writes across a split: writes that land in the splitting
+/// shard's queue after its final drain (the pre-publish delay lets them
+/// pile up) are forwarded to the children only after the post-close
+/// delay. The writer's reads must still reflect every write — the
+/// retired shard hands its stragglers' positions on to the children —
+/// and replay bitwise.
+#[test]
+fn read_your_writes_follows_forwarded_stragglers() {
+    let _g = serial();
+    let _d = Disarm;
+    const HEAVY: f64 = 1e6;
+    failpoint::configure("shard.split.pre_publish", "delay(3)").unwrap();
+    failpoint::configure("shard.split.post_close", "delay(3)").unwrap();
+    let cfg = ShardConfig {
+        shards: 1,
+        deadline: Duration::from_micros(30),
+        max_batch: 8,
+        compaction_budget: 48,
+        buffer_limit: 12,
+        split_threshold: 340,
+        max_shards: 6,
+        record_history: true,
+        ..ShardConfig::default()
+    };
+    // 300 records start under the threshold: the split fires mid-stream,
+    // after about 40 inserts at fresh keys, with writes still arriving.
+    let records = base_records(300);
+    let base_total: f64 = records.iter().map(|r| r.measure).sum();
+    let server = ShardedServer::start(records, 8.0, capped_config(), cfg).unwrap();
+    let writer = server.handle();
+    let mut observed = Vec::new();
+    for i in 0..160usize {
+        writer.insert(-99.75 + (i * 83 % 300) as f64 * 0.5, HEAVY).unwrap();
+        if i % 4 == 3 {
+            let served = writer.query_served(-250.0, 300.0);
+            assert!(!served.poisoned, "read {i} poisoned");
+            // Every write so far is in the answer: HEAVY dwarfs the
+            // certificate, so a missing straggler cannot hide in it.
+            let expected = base_total + (i + 1) as f64 * HEAVY;
+            let cert = 16.0 * served.shards.len() as f64;
+            let got = served.value().unwrap();
+            assert!((got - expected).abs() <= cert + 1e-3, "read {i}: {got} vs {expected}");
+            observed.push(served);
+        }
+    }
+    assert!(server.stats().splits >= 1, "the split threshold must have fired");
+    assert!(failpoint::hits("shard.split.post_close") >= 1, "the straggler window ran");
+    failpoint::reset();
+    let oracle = server.oracle();
+    for (i, served) in observed.iter().enumerate() {
+        assert!(oracle.matches(served), "read {i}: {served:?} vs {:?}", oracle.expected(served));
+    }
+    server.shutdown();
 }
 
 // ---------------------------------------------------------------------------

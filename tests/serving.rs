@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -73,6 +73,35 @@ fn ops_strategy(max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
 
 fn base_records(n: usize) -> Vec<Record> {
     (0..n).map(|i| Record::new(i as f64 * 0.5 - 100.0, 1.0 + (i % 3) as f64)).collect()
+}
+
+/// The stats once no split is left to run: every shard at or under
+/// `split_threshold` (or the shard cap reached), on two reads 5 ms apart
+/// with the same layout — a window applied just before the first read
+/// is published (or split) by the second. Splits run on worker threads
+/// after the write window that triggered them, and reads do not queue
+/// behind them, so a test that inspects the layout waits (bounded) for
+/// the rebalances its writes set off.
+fn settled_stats(
+    server: &ShardedServer,
+    split_threshold: usize,
+    max_shards: usize,
+) -> ShardedStats {
+    let settled = |s: &ShardedStats| {
+        split_threshold == 0
+            || s.shards.len() >= max_shards
+            || s.shards.iter().all(|p| p.len <= split_threshold)
+    };
+    let start = Instant::now();
+    loop {
+        let first = server.stats();
+        std::thread::sleep(Duration::from_millis(5));
+        let stats = server.stats();
+        let stable = settled(&first) && stats.layout_version == first.layout_version;
+        if (stable && settled(&stats)) || start.elapsed() > Duration::from_secs(20) {
+            return stats;
+        }
+    }
 }
 
 fn capped_config() -> PolyFitConfig {
@@ -152,9 +181,9 @@ proptest! {
         }
         // Deterministic boundary probes against the settled layout:
         // inside one shard, across each adjacent boundary, and the full
-        // domain (all shards), so every scatter-gather width is checked
-        // even when the random stream missed one.
-        let stats = server.stats();
+        // domain (all shards), so every fold width is checked even when
+        // the random stream missed one.
+        let stats = settled_stats(&server, split_threshold, 6);
         for w in stats.bounds.windows(1) {
             observed.push((w[0] - 4.0, w[0] + 4.0, writer.query_served(w[0] - 4.0, w[0] + 4.0)));
         }
@@ -293,9 +322,9 @@ proptest! {
         for c in clients {
             observed.extend(c.join().expect("client thread panicked"));
         }
-        // Final-state probes from the writer: the batch answering each
-        // drained every update it submitted, so the session ends in a
-        // state any offline consumer can reproduce.
+        // Final-state probes from the writer: read-your-writes holds each
+        // back until the shard publishes every update it submitted, so
+        // the session ends in a state any offline consumer can reproduce.
         let streamed = observed.len();
         for s in 0..30usize {
             let (lo, hi) = (s as f64 * 12.0 - 150.0, s as f64 * 12.0 + 60.0);
@@ -663,8 +692,8 @@ fn sliding_window_sum_stream_matches_quiesced_replay() {
             // live entries, trailing edge excluded.
             let lo = if t >= WINDOW { key_of(t - WINDOW) } else { f64::NEG_INFINITY };
             let served = writer.query_served(lo, key_of(t));
-            // One client: the batch answering it drained every write
-            // this client submitted before it.
+            // One client: read-your-writes holds the read back until the
+            // shard publishes every write this client submitted before it.
             if let Some(p) = served.shards.first() {
                 assert_eq!(p.updates_applied, submitted, "window at t={t}");
             }
@@ -792,7 +821,7 @@ fn one_ulp_key_tiling_shards_and_serves_bitwise() {
     }
     // Boundary-straddling probes against the settled layout: one ULP to
     // either side of every shard bound.
-    let stats = server.stats();
+    let stats = settled_stats(&server, 340, 6);
     for &b in &stats.bounds {
         observed.push((
             b.next_down(),
