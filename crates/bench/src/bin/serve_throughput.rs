@@ -17,14 +17,13 @@
 //! rebuild swapped (`stage_points[rebuilds] < updates_applied`).
 //!
 //! Phase 2 (sharded): pipelined clients (bursts of 256 tickets) drive a
-//! [`ShardedServer`] at shard counts {1, 2, 4} × batch caps {1, 64,
-//! 512} over a request mix seeded with explicit shard-spanning ranges.
-//! Reads are answered on the client threads from published snapshots,
-//! so the caps (which shape write windows) leave this read-only mix
-//! alone. Every composed answer is asserted bitwise-identical to an
-//! offline control that partitions the key space the same way, answers
-//! each clipped sub-range on the corresponding per-shard index, and
-//! folds the parts in the same ascending-shard `merge_sum` order.
+//! [`ShardedServer`] at shard counts {1, 2, 4} over a request mix seeded
+//! with explicit shard-spanning ranges. Reads are answered on the client
+//! threads from published snapshots (write windows do not touch this
+//! read-only mix). Every composed answer is asserted bitwise-identical
+//! to an offline control that partitions the key space the same way,
+//! answers each clipped sub-range on the corresponding per-shard index,
+//! and folds the parts in the same ascending-shard `merge_sum` order.
 //!
 //! Emits `results/BENCH_serve.json`. Shards time-slice the machine's
 //! cores, so on a box with few cores shard counts > 1 measure
@@ -32,12 +31,13 @@
 //!
 //! Phase 3 (durability): a one-shard engine at cap 512 absorbs an
 //! update-heavy stream three times — WAL off, group commit (one
-//! write+fsync per ack point, the serving default), and
+//! write+fsync per snapshot publish, the serving default), and
 //! fsync-per-update (the strict control) — and reports durable req/s
-//! for each. The group-commit run is then recovered with
-//! [`ShardedServer::recover`]: the recovered shard must hold every update
-//! and serialize byte-for-byte like a replay of the whole stream on a
-//! fresh index (`recovery_bitwise_equal`). A separate large log
+//! for each, plus the group-commit run's publish (= fence) count. The
+//! group-commit run is then recovered with [`ShardedServer::recover`]:
+//! the recovered shard must hold every update and serialize
+//! byte-for-byte like a replay of the whole stream on a fresh index
+//! (`recovery_bitwise_equal`). A separate large log
 //! (default 1M updates) measures raw replay speed. Emits
 //! `results/BENCH_wal.json`.
 //!
@@ -67,7 +67,6 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 
 struct ShardedResult {
     shards: usize,
-    max_batch: usize,
     reqs_per_s: f64,
     p50_ns: u64,
     p99_ns: u64,
@@ -125,28 +124,20 @@ fn sharded_control(
 }
 
 /// Drive one sharded configuration with pipelined clients.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded_window(
+fn run_sharded(
     records: &[polyfit_exact::dataset::Record],
     delta: f64,
     config: PolyFitConfig,
     ranges: &[(f64, f64)],
     control: &[Option<f64>],
     clients: usize,
-    window_us: u64,
     shards: usize,
-    max_batch: usize,
 ) -> ShardedResult {
     let server = ShardedServer::start(
         records.to_vec(),
         delta,
         config,
-        ShardConfig {
-            shards,
-            deadline: Duration::from_micros(window_us),
-            max_batch,
-            ..ShardConfig::default()
-        },
+        ShardConfig { shards, ..ShardConfig::default() },
     )
     .expect("build");
     let t0 = Instant::now();
@@ -189,7 +180,6 @@ fn run_sharded_window(
     latencies.sort_unstable();
     ShardedResult {
         shards,
-        max_batch,
         reqs_per_s: ranges.len() as f64 / wall,
         p50_ns: percentile(&latencies, 0.50),
         p99_ns: percentile(&latencies, 0.99),
@@ -206,7 +196,8 @@ fn run_sharded_window(
 /// work — the write path plus journaling — rather than whatever rebuild
 /// schedule each run happens to hit (a swap would also charge the
 /// group-commit run a full synchronous checkpoint the wal-off run never
-/// pays). Returns requests/s.
+/// pays). Returns requests/s and the shard's snapshot publishes — with a
+/// journal attached, one fence each.
 #[allow(clippy::too_many_arguments)]
 fn run_wal_window(
     records: &[polyfit_exact::dataset::Record],
@@ -217,7 +208,7 @@ fn run_wal_window(
     ranges: &[(f64, f64)],
     window_us: u64,
     wal: Option<(&Path, SyncPolicy)>,
-) -> f64 {
+) -> (f64, u64) {
     let cfg = ShardConfig {
         deadline: Duration::from_micros(window_us),
         max_batch: 512,
@@ -239,9 +230,10 @@ fn run_wal_window(
     for (i, u) in updates.iter().enumerate() {
         handle.update(*u).expect("finite update");
         ops += 1;
-        // Interleaved reads are the ack points: group commit must fence
-        // every journal append since the last read before the answer
-        // goes out, so the read cadence *is* the commit-group size.
+        // Interleaved reads of the writer's own updates force a publish:
+        // group commit must fence every journal append up to the read's
+        // last write before the answer goes out, so the read cadence
+        // bounds the commit-group size.
         // One read per 4096 writes — at the *end* of each group, so every
         // fence commits a full group rather than a single update — keeps
         // each group's buffered-append work a healthy multiple of one
@@ -255,8 +247,10 @@ fn run_wal_window(
             ops += 1;
         }
     }
-    server.shutdown();
-    ops as f64 / t0.elapsed().as_secs_f64()
+    let stats = server.shutdown();
+    let rps = ops as f64 / t0.elapsed().as_secs_f64();
+    // The initial snapshot is epoch 1; every later epoch is a publish.
+    (rps, stats.shards[0].epoch - 1)
 }
 
 fn main() {
@@ -401,36 +395,21 @@ fn main() {
     }
     let sharded: Vec<ShardedResult> = [1usize, 2, 4]
         .iter()
-        .flat_map(|&shards| {
+        .map(|&shards| {
             let control = sharded_control(&records, shards, delta, config, &sharded_ranges);
-            [1usize, 64, 512]
-                .iter()
-                .map(|&cap| {
-                    let r = run_sharded_window(
-                        &records,
-                        delta,
-                        config,
-                        &sharded_ranges,
-                        &control,
-                        clients,
-                        window_us,
-                        shards,
-                        cap,
-                    );
-                    println!(
-                        "  shards {} cap {:>3}: {:>9.0} req/s   p50 {:>7} ns   \
-                         p99 {:>8} ns   spanning {:>4.1}%   bitwise {}",
-                        r.shards,
-                        r.max_batch,
-                        r.reqs_per_s,
-                        r.p50_ns,
-                        r.p99_ns,
-                        r.spanning_share * 100.0,
-                        r.bitwise_equal
-                    );
-                    r
-                })
-                .collect::<Vec<_>>()
+            let r =
+                run_sharded(&records, delta, config, &sharded_ranges, &control, clients, shards);
+            println!(
+                "  shards {}: {:>9.0} req/s   p50 {:>7} ns   p99 {:>8} ns   \
+                 spanning {:>4.1}%   bitwise {}",
+                r.shards,
+                r.reqs_per_s,
+                r.p50_ns,
+                r.p99_ns,
+                r.spanning_share * 100.0,
+                r.bitwise_equal
+            );
+            r
         })
         .collect();
     let sharded_bitwise_equal = sharded.iter().all(|r| r.bitwise_equal);
@@ -464,10 +443,9 @@ fn main() {
     for (i, r) in sharded.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"shards\": {}, \"max_batch\": {}, \"reqs_per_s\": {:.1}, \
+            "    {{\"shards\": {}, \"reqs_per_s\": {:.1}, \
              \"p50_ns\": {}, \"p99_ns\": {}, \"spanning_share\": {:.4}}}{}",
             r.shards,
-            r.max_batch,
             r.reqs_per_s,
             r.p50_ns,
             r.p99_ns,
@@ -516,10 +494,11 @@ fn main() {
     let group_dir = wal_root.join("group");
     let rounds = 3;
     let (mut off_rps, mut group_rps, mut group_ratio) = (0.0f64, 0.0f64, 0.0f64);
+    let mut group_fences = 0;
     for _ in 0..rounds {
-        let off =
+        let (off, _) =
             run_wal_window(&records, delta, config, limit, &wal_stream, &ranges, window_us, None);
-        let grp = run_wal_window(
+        let (grp, fences) = run_wal_window(
             &records,
             delta,
             config,
@@ -531,11 +510,14 @@ fn main() {
         );
         let ratio = grp / off.max(1.0);
         if ratio > group_ratio {
-            (off_rps, group_rps, group_ratio) = (off, grp, ratio);
+            (off_rps, group_rps, group_ratio, group_fences) = (off, grp, ratio, fences);
         }
     }
     println!("    wal off:          {off_rps:>9.0} req/s");
-    println!("    group commit:     {group_rps:>9.0} req/s ({group_ratio:.2}x of wal-off)");
+    println!(
+        "    group commit:     {group_rps:>9.0} req/s ({group_ratio:.2}x of wal-off, \
+         {group_fences} fences)"
+    );
     let strict_dir = wal_root.join("strict");
     let strict_rps = {
         let a = run_wal_window(
@@ -547,7 +529,8 @@ fn main() {
             &ranges,
             window_us,
             Some((&strict_dir, SyncPolicy::EveryUpdate)),
-        );
+        )
+        .0;
         let b = run_wal_window(
             &records,
             delta,
@@ -557,7 +540,8 @@ fn main() {
             &ranges,
             window_us,
             Some((&strict_dir, SyncPolicy::EveryUpdate)),
-        );
+        )
+        .0;
         a.max(b)
     };
     println!(
@@ -651,6 +635,7 @@ fn main() {
     let _ = writeln!(json, "  \"reqs_per_s_group_commit\": {group_rps:.1},");
     let _ = writeln!(json, "  \"reqs_per_s_fsync_per_update\": {strict_rps:.1},");
     let _ = writeln!(json, "  \"group_commit_vs_off\": {group_ratio:.3},");
+    let _ = writeln!(json, "  \"group_commit_fences\": {group_fences},");
     let _ = writeln!(json, "  \"recovery_log_updates\": {wal_log_n},");
     let _ = writeln!(json, "  \"recovery_s\": {recovery_s:.4},");
     let _ = writeln!(
@@ -663,9 +648,10 @@ fn main() {
         json,
         "  \"note\": \"durable req/s: wall clock includes shutdown's final fsync; \
          compaction frozen so all three runs measure the write path, not rebuild \
-         schedules. Group commit defers the fsync to ack points (one read per 4096 \
-         writes here, plus idle boundaries and shutdown), so a burst of write-only \
-         windows shares one fence; fsync-per-update is the strict control. wal-off \
+         schedules. Group commit fences once per snapshot publish (a read of the \
+         writer's own updates every 4096 writes here, at least every 10 ms under load, \
+         idle boundaries and shutdown), so the write windows in between share one fence \
+         (group_commit_fences counts them); fsync-per-update is the strict control. wal-off \
          and group commit run as back-to-back pairs and the best round's ratio is \
          reported (1-CPU run-to-run noise exceeds the effect otherwise). Every run is a \
          one-shard ShardedServer; recovery_bitwise_equal recovers the group-commit run with \

@@ -24,9 +24,6 @@ usage:
                 [--wal <dir>]     (serve a dynamic PFD2 index through the engine,
                                    journaling updates durably: checkpoint +
                                    fsync-batched log per shard under <dir>)
-                [--window-us <N>] (engine batch deadline window in µs, default 200)
-                [--batch-cap <N>] (engine max requests per sweep, default 512;
-                                   1 = no batching)
                 [--failpoint site=spec] (repeatable; arm a named failpoint — e.g.
                                    wal.fsync.err=once:error — to replay a fault
                                    schedule; needs a `failpoints`-feature build)
@@ -38,9 +35,9 @@ batch file: one `lo,hi` pair per line (2-D PFQ1 indexes: one
 order.
 serve: replays the request file from concurrent client threads and
 reports per-request answers plus throughput. A dynamic (PFD2) index with
---wal or --shards is served through the sharded engine (deadline-batched
-shard workers), its answers verified bitwise against composed per-shard
-snapshot reads; every other index file is immutable and answered directly
+--wal or --shards is served through the sharded engine (reads answered on
+the client threads from published shard snapshots), its answers verified
+bitwise against composed per-shard snapshot reads; every other index file is immutable and answered directly
 on the client threads, verified bitwise against one query_batch pass.
 recover: rebuild the exact pre-crash index state from a WAL directory
 (last checkpoint + checksummed log tail; torn tails are truncated) and
@@ -103,10 +100,6 @@ pub enum Command {
         requests: String,
         /// Client threads submitting requests concurrently.
         clients: usize,
-        /// Engine batch deadline window in microseconds.
-        window_us: u64,
-        /// Engine batch-size cap per sweep.
-        batch_cap: usize,
         /// Engine shard count (`--shards`, at least 1); `None` when the
         /// flag is absent. With this or `wal`, a dynamic PFD2 index is
         /// served through the sharded engine (one shard by default).
@@ -268,10 +261,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             if clients == 0 {
                 return Err(ParseError("--clients must be at least 1".into()));
             }
-            let batch_cap = parse_usize("--batch-cap", 512)?;
-            if batch_cap == 0 {
-                return Err(ParseError("--batch-cap must be at least 1".into()));
-            }
             let shards = match flag_value(argv, "--shards") {
                 Some(_) => Some(parse_usize("--shards", 1)?),
                 None => None,
@@ -283,8 +272,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 index: required(argv, "--index")?.to_string(),
                 requests: required(argv, "--requests")?.to_string(),
                 clients,
-                window_us: parse_usize("--window-us", 200)? as u64,
-                batch_cap,
                 shards,
                 wal: flag_value(argv, "--wal").map(String::from),
                 failpoints: {
@@ -482,8 +469,6 @@ mod tests {
                 index: "i.pf".into(),
                 requests: "r.csv".into(),
                 clients: 4,
-                window_us: 200,
-                batch_cap: 512,
                 shards: None,
                 wal: None,
                 failpoints: vec![],
@@ -491,16 +476,13 @@ mod tests {
         );
         assert_eq!(
             parse(&argv(
-                "serve --index i.pf --requests r.csv --clients 2 \
-                 --window-us 50 --batch-cap 64 --shards 2 --wal wal-dir"
+                "serve --index i.pf --requests r.csv --clients 2 --shards 2 --wal wal-dir"
             ))
             .unwrap(),
             Command::Serve {
                 index: "i.pf".into(),
                 requests: "r.csv".into(),
                 clients: 2,
-                window_us: 50,
-                batch_cap: 64,
                 shards: Some(2),
                 wal: Some("wal-dir".into()),
                 failpoints: vec![],
@@ -508,8 +490,6 @@ mod tests {
         );
         assert!(parse(&argv("serve --index i.pf")).is_err(), "--requests is required");
         assert!(parse(&argv("serve --index i.pf --requests r.csv --clients 0")).is_err());
-        assert!(parse(&argv("serve --index i.pf --requests r.csv --batch-cap 0")).is_err());
-        assert!(parse(&argv("serve --index i.pf --requests r.csv --window-us x")).is_err());
         assert!(parse(&argv("serve --index i.pf --requests r.csv --shards x")).is_err());
         assert!(parse(&argv("serve --index i.pf --requests r.csv --shards 0")).is_err());
     }

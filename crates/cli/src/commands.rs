@@ -3,7 +3,7 @@
 use std::fs;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use polyfit::prelude::*;
 use polyfit::shard::shard_wal_name;
@@ -183,14 +183,12 @@ fn verify_and_print(
 /// still-buffered deltas, which the engine's dedup-sum ingest folds back
 /// into one ground truth — and the engine partitions it into `shards`
 /// key ranges. With `wal`, every shard journals to `<dir>/shard-<id>` and
-/// acks only after its batch's group fsync, so `recover` can rebuild the
-/// served state.
+/// fences its journal before each snapshot publish, so every state a
+/// read observes is durable and `recover` can rebuild the served state.
 fn start_engine(
     index: &str,
     bytes: &[u8],
     shards: usize,
-    window_us: u64,
-    batch_cap: usize,
     wal: Option<&str>,
 ) -> Result<ShardedServer, String> {
     if kind_of(bytes) != Some("dynamic") {
@@ -205,8 +203,6 @@ fn start_engine(
     records.extend(dynamic.buffered_entries().into_iter().map(|(k, dm)| Record::new(k, dm)));
     let cfg = ShardConfig {
         shards,
-        deadline: Duration::from_micros(window_us),
-        max_batch: batch_cap,
         buffer_limit: dynamic.buffer_limit(),
         max_shards: shards.max(16),
         ..Default::default()
@@ -400,16 +396,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             print!("{out}");
             Ok(())
         }
-        Command::Serve {
-            index,
-            requests,
-            clients,
-            window_us,
-            batch_cap,
-            shards,
-            wal,
-            failpoints,
-        } => {
+        Command::Serve { index, requests, clients, shards, wal, failpoints } => {
             // Arm the requested fault schedule before any server thread
             // starts. Without the `failpoints` feature `configure_str`
             // rejects every arm, so a default build refuses the flag
@@ -445,14 +432,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 );
                 return Ok(());
             }
-            let server = start_engine(
-                &index,
-                &bytes,
-                shards.unwrap_or(1),
-                window_us,
-                batch_cap,
-                wal.as_deref(),
-            )?;
+            let server = start_engine(&index, &bytes, shards.unwrap_or(1), wal.as_deref())?;
             let (answers, wall) = replay(&ranges, clients, || {
                 let handle = server.handle();
                 move |lo, hi| {
@@ -987,11 +967,8 @@ mod tests {
         // out-of-domain ranges all flow through the sharded path (the
         // bitwise check against snapshot reads runs inside `run`).
         fs::write(&reqs, "10,300\n900,100\n# comment\n5,5\n-50,-10\n0,1499\n700,800\n").unwrap();
-        run(parse(&argv(&format!(
-            "serve --index {idx} --requests {reqs} --clients 2 --shards 2 \
-             --window-us 100 --batch-cap 8"
-        )))
-        .unwrap())
+        run(parse(&argv(&format!("serve --index {idx} --requests {reqs} --clients 2 --shards 2")))
+            .unwrap())
         .unwrap();
         // A static index file cannot be sharded — refused with a hint,
         // not a panic.

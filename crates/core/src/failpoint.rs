@@ -95,8 +95,8 @@ pub const DYNAMIC_SITES: &[&str] = &[
 /// queues).
 pub const SHARD_SITES: &[&str] = &[
     "shard.worker.panic",      // die or stall with a drained batch in hand
-    "shard.batch.oversize",    // one batch window ignores max_batch
-    "shard.fence.skip",        // skip one query-ack fence, forced later
+    "shard.batch.oversize",    // one write window ignores max_batch
+    "shard.fence.skip",        // withhold one due publish + fence, forced later
     "shard.split.pre_publish", // split: after children built, before layout publish
     "shard.split.post_close",  // split: after the old queue closed
     "shard.merge.handoff",     // merge: before mailing the survivor

@@ -9,9 +9,10 @@
 //! queues. A worker applies them a window at a time and publishes a new
 //! snapshot only after one fence covers every write it holds (group
 //! commit), so every state a reader can observe is durable. It publishes
-//! when a handle waits on its own writes, before a compaction step, after
-//! a park interval without writes, and at least every 10 ms under
-//! sustained load; in between, windows share one fence. Workers also step compaction in idle gaps and fail-stop on
+//! at the end of the window that reaches a write a handle waits on,
+//! before a compaction step, after a park interval without writes, and
+//! at least every 10 ms under sustained load; in between, windows share
+//! one fence. Workers also step compaction in idle gaps and fail-stop on
 //! worker death. One shard (the default) is a single-writer serving loop;
 //! more shards partition the key space. Immutable indexes need none of
 //! this: every index is `Send + Sync`, so client threads call
@@ -260,6 +261,20 @@ struct Pending {
     pos: u64,
 }
 
+impl Pending {
+    /// Ask the shard to publish once it has applied this write: at the
+    /// end of the window that holds it, or at once if it is idle. The
+    /// shard keeps the highest position asked for, so reads waiting on
+    /// one backlog share the fence of the window that reaches the last
+    /// of their writes.
+    fn request_publish(&self) {
+        let awaited = &self.rt.awaited;
+        if awaited.load(SeqCst) < self.pos && awaited.fetch_max(self.pos, SeqCst) < self.pos {
+            self.rt.queue.wake();
+        }
+    }
+}
+
 /// Record that a write landed at queue position `pos` of `rt`.
 fn note(pending: &mut Vec<Pending>, rt: &Arc<ShardRt>, pos: u64) {
     if let Some(p) = pending.iter_mut().find(|p| Arc::ptr_eq(&p.rt, rt)) {
@@ -275,10 +290,10 @@ fn note(pending: &mut Vec<Pending>, rt: &Arc<ShardRt>, pos: u64) {
 
 /// Drop the writes in `pending` that are now visible — published by
 /// their shard, or handed on to a retired shard's successors — and
-/// return a shard whose unpublished write blocks a read of layout
-/// positions `a..=b`: one of those shards, or one that has left the
+/// return an unpublished write that blocks a read of layout positions
+/// `a..=b`: one on those shards, or one on a shard that has left the
 /// layout but not yet named its successors.
-fn settle(pending: &mut Vec<Pending>, layout: &Layout, a: usize, b: usize) -> Option<Arc<ShardRt>> {
+fn settle(pending: &mut Vec<Pending>, layout: &Layout, a: usize, b: usize) -> Option<Pending> {
     let mut blocker = None;
     let mut i = 0;
     while i < pending.len() {
@@ -291,7 +306,7 @@ fn settle(pending: &mut Vec<Pending>, layout: &Layout, a: usize, b: usize) -> Op
         } else {
             let touched = layout.shards[a..=b].iter().any(|s| Arc::ptr_eq(s, &p.rt));
             if blocker.is_none() && (touched || layout.position_of(p.rt.id).is_none()) {
-                blocker = Some(Arc::clone(&p.rt));
+                blocker = Some(p.clone());
             }
             i += 1;
         }
@@ -360,7 +375,7 @@ impl DeferredRead {
             } else if tries < spin.saturating_add(64) {
                 thread::yield_now();
             } else {
-                blocker.waiters.lock().expect("waiter list poisoned").push(thread::current());
+                blocker.rt.waiters.lock().expect("waiter list poisoned").push(thread::current());
                 // A publish that landed before the registration woke
                 // nobody; this retry sees it instead.
                 if let Ok(served) = self.shared.read(&reader, &mut self.pending, self.lo, self.hi) {
@@ -512,9 +527,10 @@ struct ShardRt {
     /// that took over its keys, each with the queue position of the last
     /// straggler forwarded to it (`0` for none).
     successors: OnceLock<Vec<Pending>>,
-    /// A deferred read is waiting on this shard: publish the next window
-    /// even if more writes are queued behind it.
-    awaited: AtomicBool,
+    /// Highest queue position a deferred read waits on: publish at the
+    /// end of the window that reaches it, even if more writes are queued
+    /// behind it.
+    awaited: AtomicU64,
     /// Deferred reads parked until the next publish.
     waiters: Mutex<Vec<Thread>>,
 }
@@ -543,18 +559,9 @@ impl ShardRt {
             ),
             published: AtomicU64::new(0),
             successors: OnceLock::new(),
-            awaited: AtomicBool::new(false),
+            awaited: AtomicU64::new(0),
             waiters: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Ask the worker to publish what it holds: at the end of its current
-    /// window, or at once if it is parked on coalesced writes.
-    fn request_publish(&self) {
-        if !self.awaited.load(SeqCst) {
-            self.awaited.store(true, SeqCst);
-            self.queue.wake();
-        }
     }
 
     /// Wake every deferred read parked on this shard.
@@ -746,7 +753,7 @@ impl ServerShared {
         pending: &mut Vec<Pending>,
         lo: f64,
         hi: f64,
-    ) -> Result<ShardServed, Arc<ShardRt>> {
+    ) -> Result<ShardServed, Pending> {
         let bound = 2.0 * self.delta;
         match classify_bounds(lo, hi) {
             QueryBounds::NonFinite => return Ok(ShardServed::inline(None)),
@@ -759,8 +766,8 @@ impl ServerShared {
         let layout = self.layout.load(&pin);
         let (a, b) = layout.shard_range(lo, hi);
         if !pending.is_empty() {
-            if let Some(rt) = settle(pending, layout, a, b) {
-                return Err(rt);
+            if let Some(blocker) = settle(pending, layout, a, b) {
+                return Err(blocker);
             }
         }
         let mut shards = Vec::with_capacity(b - a + 1);
@@ -1531,26 +1538,28 @@ impl Worker {
     }
 
     /// Group commit: fence and publish the writes applied so far — one
-    /// fsync and one snapshot for all of them — when a deferred read
-    /// waits on this shard or the published state is [`PUBLISH_LAG`]
-    /// old. Otherwise the next window joins the fence, until a read asks,
-    /// a compaction step is due, or the shard idles for a park interval
-    /// (see [`Self::wait_for_traffic`]).
+    /// fsync and one snapshot for all of them — when this window reached
+    /// a write a deferred read waits on, or the published state is
+    /// [`PUBLISH_LAG`] old. Otherwise the next window joins the fence,
+    /// until a read's write is reached, a compaction step is due, or the
+    /// shard idles for a park interval (see [`Self::wait_for_traffic`]).
     fn commit(&mut self) {
-        // Failpoint: withhold this window's publish. `dirty` and
-        // `wal_dirty` stay set, so the next boundary — a waiting read,
-        // going idle, a compaction step, rebalance or shutdown — fences
-        // and publishes: injection can delay a publish, never elide it.
-        let withheld = self.wal_dirty && crate::failpoint::triggered("shard.fence.skip");
         let due = self.awaited() || self.published_at.elapsed() >= PUBLISH_LAG;
-        if due && !withheld {
+        // Failpoint: withhold a due publish. `dirty` and `wal_dirty` stay
+        // set, so a later boundary — a due window, the idle loop (at once
+        // for a waiting read), a compaction step, rebalance or shutdown —
+        // fences and publishes: injection can delay a publish, never
+        // elide it.
+        if due && !(self.wal_dirty && crate::failpoint::triggered("shard.fence.skip")) {
             self.maybe_publish();
         }
     }
 
-    /// A deferred read waits on writes this shard has not published.
+    /// A deferred read waits on a write this shard has applied but not
+    /// yet published.
     fn awaited(&self) -> bool {
-        self.dirty && self.rt.awaited.load(SeqCst)
+        let want = self.rt.awaited.load(SeqCst);
+        self.dirty && want <= self.popped && want > self.rt.published.load(SeqCst)
     }
 
     fn make_snap(&self) -> ShardSnap {
@@ -1576,7 +1585,6 @@ impl Worker {
         }
         self.wal_fence();
         self.epoch += 1;
-        self.rt.awaited.store(false, SeqCst);
         self.rt.snap.publish(self.make_snap());
         self.rt.published.store(self.popped, SeqCst);
         self.published_at = Instant::now();
@@ -2211,6 +2219,42 @@ mod tests {
         assert_eq!(served.value().map(f64::to_bits), direct.value().map(f64::to_bits));
         let stats = server.shutdown();
         assert_eq!(stats.shards[0].epoch, 2, "no further publish, so no further fence");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_read_behind_a_backlog_costs_one_fence() {
+        // Small windows and a burst of writes leave windows queued when
+        // the writer reads. The read asks for the window that reaches its
+        // last write, so the windows before it join that one fence rather
+        // than each publishing and fencing while the read waits.
+        let dir = wal_dir("backlog-fence");
+        let server = ShardedServer::start_with_wal(
+            records(1000),
+            10.0,
+            capped(),
+            ShardConfig { max_batch: 8, compaction_budget: 0, ..Default::default() },
+            &dir,
+            SyncPolicy::Batch,
+        )
+        .unwrap();
+        let handle = server.handle();
+        let t0 = Instant::now();
+        for i in 0..4096 {
+            handle.insert((i % 997) as f64 + 0.25, 1.0).unwrap();
+        }
+        let served = handle.query_served(0.0, 1000.0);
+        let elapsed_ms = t0.elapsed().as_millis() as u64;
+        let point = served.shards[0];
+        assert_eq!(point.updates_applied, 4096, "the read reflects every write");
+        // Besides the read's own, only the staleness bound (one per
+        // PUBLISH_LAG) and idle parks (one per IDLE_POLL) publish.
+        let publishes = point.epoch - 1;
+        assert!(
+            publishes <= 2 + elapsed_ms,
+            "{publishes} publishes (each a fence) in {elapsed_ms} ms for one read"
+        );
+        server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

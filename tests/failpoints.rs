@@ -351,6 +351,7 @@ proptest! {
         });
         let writer = server.handle();
         let stream = update_stream(36);
+        let mut own = Vec::new();
         for (i, &(ins, k, m)) in stream.iter().enumerate() {
             if ins {
                 writer.insert(k, m).unwrap();
@@ -361,14 +362,26 @@ proptest! {
                 let lo = -150.0 + (i as f64 * 11.0) % 280.0;
                 tx.send((lo, lo + 60.0)).unwrap();
             }
+            // The writer reads its own writes: each read makes the
+            // window that holds its write due to publish — the publish
+            // `shard.fence.skip` withholds.
+            if i % 2 == 1 {
+                own.push(writer.query_served(k - 30.0, k + 30.0));
+            }
         }
         drop(tx);
         let mut observed = client.join().expect("client thread panicked");
+        observed.extend(own);
         observed.extend(probe_grid(|lo, hi| writer.query_served(lo, hi)));
         // Coverage proof first (reset clears the counters): every armed
-        // site was evaluated during the live run.
+        // site was evaluated during the live run, and an armed
+        // `shard.fence.skip` actually withheld a publish.
         for (site, _) in &schedule.0 {
             prop_assert!(failpoint::hits(site) > 0, "site {} never hit", site);
+        }
+        if schedule.arms_site("shard.fence.skip") {
+            prop_assert!(failpoint::fired("shard.fence.skip") > 0,
+                "schedule '{}': no publish was withheld", schedule);
         }
         // The oracle replays quiesced — injection must not reach it.
         failpoint::reset();
