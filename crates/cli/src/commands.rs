@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use polyfit::prelude::*;
 use polyfit::shard::shard_wal_name;
-use polyfit::wal::{checkpoint_path, log_path, read_checkpoint, scan_wal};
+use polyfit::wal::plan_replay;
 use polyfit::{atomic_write, Extremum, LayoutLog, PolyFitMax, PolyFitSum};
 use polyfit::{AggregateIndex2d, QuadPolyFit};
 
@@ -484,7 +484,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     .map_err(|e| format!("cannot recover {wal}: {e}"))?;
                 for (id, r) in &reports {
                     println!(
-                        "shard-{id}: checkpoint seq {}, replayed {} updates + {} swaps \
+                        "shard-{id}: checkpoint seq {}, replayed {} updates + {} swap(s) \
                          -> head {}{}",
                         r.checkpoint_seq,
                         r.replayed_updates,
@@ -495,7 +495,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 }
                 let stats = server.shutdown();
                 println!(
-                    "recovered {} shards from {wal} (checkpoints + log tails collapsed)",
+                    "recovered {} shards from {wal} (journals resumed in their newest segments)",
                     stats.shards.len()
                 );
                 if let Some(out) = output {
@@ -651,10 +651,17 @@ fn torn_note(truncated: u64) -> String {
     }
 }
 
-/// `info --wal <dir>`: report every journal's replay cursor — the
-/// checkpoint sequence a recovery would load vs the log head it would
-/// replay to. Read-only: torn tails are reported, not truncated.
+/// `info --wal <dir>`: per journal, the checkpoint a recovery would load,
+/// the live log segments it would read, and the updates and compaction
+/// swaps it would replay. Read-only: torn tails are reported, not
+/// truncated.
 fn wal_status(dir_str: &str) -> Result<(), String> {
+    print!("{}", wal_report(dir_str)?);
+    Ok(())
+}
+
+fn wal_report(dir_str: &str) -> Result<String, String> {
+    use std::fmt::Write as _;
     let dir = Path::new(dir_str);
     // Enumerate journals by their checkpoint files; the sharded layout
     // journal (routing table) is reported separately.
@@ -670,43 +677,40 @@ fn wal_status(dir_str: &str) -> Result<(), String> {
     if names.is_empty() {
         return Err(format!("{dir_str}: no journal checkpoints found"));
     }
+    let mut out = String::new();
     if LayoutLog::exists(dir) {
-        println!("wal:       sharded journal ({} shard segment(s)) in {dir_str}", names.len());
+        let _ = writeln!(out, "wal:       sharded journal ({} shard(s)) in {dir_str}", names.len());
     } else {
-        println!("wal:       single journal in {dir_str}");
+        let _ = writeln!(out, "wal:       single journal in {dir_str}");
     }
     for name in &names {
-        let ckpt = read_checkpoint(&checkpoint_path(dir, name))
-            .map_err(|e| format!("{name}.ckpt: {e}"))?;
-        let scan = scan_wal(&log_path(dir, name)).map_err(|e| format!("{name}.wal: {e}"))?;
-        // A trailing all-zero region is the log's untouched preallocation
-        // (`scan.zero_tail`), not crash damage — only report real garbage.
-        let torn = if scan.truncated() { scan.file_len.saturating_sub(scan.valid_len) } else { 0 };
-        if scan.head_seq <= ckpt.updates_applied {
-            // Checkpoint-only: every surviving log frame is already
-            // folded into the checkpoint — recovery replays nothing.
-            // Saying so beats printing a zero cursor the reader has to
-            // interpret.
-            println!(
-                "  {name}: checkpoint seq {} ({} rebuilds); checkpoint-only log — nothing \
-                 to replay{}",
-                ckpt.updates_applied,
-                ckpt.rebuilds,
-                torn_note(torn),
-            );
-        } else {
-            println!(
-                "  {name}: checkpoint seq {} ({} rebuilds); log head {} — {} update(s) to \
-                 replay{}",
-                ckpt.updates_applied,
-                ckpt.rebuilds,
-                scan.head_seq,
-                scan.head_seq - ckpt.updates_applied,
-                torn_note(torn),
-            );
-        }
+        let plan = plan_replay(dir, name).map_err(|e| format!("{name}: {e}"))?;
+        let segments = match (plan.chain.first(), plan.chain.last()) {
+            (Some(a), Some(b)) if a.number == b.number => format!("segment {}", a.number),
+            (Some(a), Some(b)) => format!("segments {}..={}", a.number, b.number),
+            _ => "no segment".to_string(),
+        };
+        // A trailing all-zero region is the segment's untouched
+        // preallocation, not crash damage — only report real garbage.
+        let torn: u64 = plan
+            .chain
+            .iter()
+            .filter(|s| s.scan.truncated())
+            .map(|s| s.scan.file_len - s.scan.valid_len)
+            .sum();
+        let _ = writeln!(
+            out,
+            "  {name}: checkpoint seq {} ({} rebuilds); live {segments}; recovery replays {} \
+             update(s) + {} swap(s) -> head {}{}",
+            plan.checkpoint.updates_applied,
+            plan.checkpoint.rebuilds,
+            plan.updates.len(),
+            plan.swaps.len(),
+            plan.head_seq,
+            torn_note(torn),
+        );
     }
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1056,12 +1060,74 @@ mod tests {
         .unwrap();
         // Sharded recovery replays the layout journal + every shard.
         run(parse(&argv(&format!("info --index {idx} --wal {wal}"))).unwrap()).unwrap();
+        let report = wal_report(&wal).unwrap();
+        for id in 0..2 {
+            let line = format!(
+                "shard-{id}: checkpoint seq 0 (0 rebuilds); live segment 0; recovery replays 0 \
+                 update(s) + 0 swap(s) -> head 0"
+            );
+            assert!(report.contains(&line), "{report}");
+        }
         run(parse(&argv(&format!("recover --wal {wal}"))).unwrap()).unwrap();
         // --output writes one index, so two shards are refused.
         let out = tmp("wal-sharded-out.pfd");
         let err =
             run(parse(&argv(&format!("recover --wal {wal} --output {out}"))).unwrap()).unwrap_err();
         assert!(err.contains("holds 2 shards"), "{err}");
+    }
+
+    #[test]
+    fn info_wal_reports_segments_and_the_replay_a_recovery_runs() {
+        // A journal with writes: one shard, small buffer, compaction on,
+        // so swaps land and every second one checkpoints into a new
+        // segment.
+        let wal = wal_dir("segments");
+        let records: Vec<Record> = (0..400).map(|i| Record::new(i as f64, 1.0)).collect();
+        let cfg = ShardConfig { buffer_limit: 16, ..ShardConfig::default() };
+        let dir = Path::new(&wal);
+        let server = ShardedServer::start_with_wal(
+            records,
+            10.0,
+            PolyFitConfig::default(),
+            cfg,
+            dir,
+            SyncPolicy::Batch,
+        )
+        .unwrap();
+        let handle = server.handle();
+        let ckpt_path = polyfit::wal::checkpoint_path(dir, "shard-0");
+        let checkpointed = || polyfit::wal::read_checkpoint(&ckpt_path).unwrap().rebuilds > 0;
+        let mut n = 0;
+        while (server.stats().shards[0].rebuilds < 3 || !checkpointed()) && n < 5_000 {
+            for _ in 0..20 {
+                handle.insert(0.5 + n as f64, 1.0).unwrap();
+                n += 1;
+            }
+            assert!(!handle.query_served(0.0, 1e6).poisoned);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let swaps = server.shutdown().shards[0].rebuilds;
+        assert!(swaps >= 3, "compaction swapped {swaps} times");
+        // The line names the checkpoint on disk and replays exactly the
+        // updates and swaps after it.
+        let ckpt = polyfit::wal::read_checkpoint(&ckpt_path).unwrap();
+        assert!(ckpt.rebuilds >= 1, "no checkpoint after {swaps} swaps");
+        let head = format!("-> head {n}");
+        let line = format!(
+            "shard-0: checkpoint seq {} ({} rebuilds); live segment",
+            ckpt.updates_applied, ckpt.rebuilds
+        );
+        let replay = format!(
+            "recovery replays {} update(s) + {} swap(s) {head}",
+            n - ckpt.updates_applied,
+            swaps - ckpt.rebuilds
+        );
+        let report = wal_report(&wal).unwrap();
+        assert!(report.contains(&line) && report.contains(&replay), "{report}");
+        // Recovery resumes the journal: the replay it reports matches.
+        run(parse(&argv(&format!("recover --wal {wal}"))).unwrap()).unwrap();
+        let again = wal_report(&wal).unwrap();
+        assert!(again.lines().any(|l| l.ends_with(&head)), "{again}");
     }
 
     #[test]

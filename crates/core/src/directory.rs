@@ -134,13 +134,6 @@ impl SegmentDirectory {
     pub fn extrema_leaves(&self) -> Vec<(f64, f64)> {
         self.segments.iter().map(|s| (s.value_max, s.value_min)).collect()
     }
-
-    /// A monotone lookup cursor for ascending key sweeps (the batched
-    /// query path): `m` locates over `h` segments cost `O(m + h)` total
-    /// instead of `O(m log h)` independent binary searches.
-    pub fn cursor(&self) -> DirectoryCursor<'_> {
-        DirectoryCursor { dir: self, upper: 0 }
-    }
 }
 
 /// Materialise one segmentation spec into a [`Segment`]: fitted
@@ -158,35 +151,6 @@ pub(crate) fn segment_from_spec(f: &TargetFunction, spec: SegmentSpec) -> Segmen
         error: spec.certified_error,
         value_max,
         value_min,
-    }
-}
-
-/// See [`SegmentDirectory::cursor`]. Feeding keys out of ascending order
-/// is a logic error (the cursor never rewinds).
-#[derive(Clone, Debug)]
-pub struct DirectoryCursor<'a> {
-    dir: &'a SegmentDirectory,
-    /// Number of `lo_keys` known to be ≤ the last key seen.
-    upper: usize,
-}
-
-impl DirectoryCursor<'_> {
-    /// Equivalent to [`SegmentDirectory::locate`] provided keys arrive in
-    /// ascending order.
-    #[inline]
-    pub fn locate(&mut self, k: f64) -> Option<usize> {
-        if k.is_nan() {
-            // `partition_point(lo <= NaN)` is 0: mirror `locate` exactly.
-            return None;
-        }
-        let lo_keys = &self.dir.lo_keys;
-        while self.upper < lo_keys.len() && lo_keys[self.upper] <= k {
-            self.upper += 1;
-        }
-        match self.upper {
-            0 => None,
-            i => Some(i - 1),
-        }
     }
 }
 
@@ -275,11 +239,11 @@ fn eval_row(kernel: HornerKernel, r: &[f64], k: f64) -> f64 {
 /// Lookups use a branchless search over an Eytzinger (BFS) permutation of
 /// the sorted `lo_key`s: the hot top levels of the implicit tree share a
 /// handful of cache lines across all queries, and the loop executes no
-/// data-dependent branches. A sorted `lo_keys` copy remains for the
-/// monotone [`CompiledCursor`] the batched sweep uses.
+/// data-dependent branches. A sorted `lo_keys` copy remains for
+/// diagnostics and segment reconstruction.
 #[derive(Clone, Debug)]
 pub struct CompiledDirectory {
-    /// `lo_key` per segment, ascending (cursor sweeps + diagnostics).
+    /// `lo_key` per segment, ascending (diagnostics, reconstruction).
     lo_keys: Vec<f64>,
     /// Eytzinger-permuted `lo_keys`, 1-indexed; slot 0 is an unused pad.
     /// Kept keys-only (the slot → rank map lives in `eytz_rank`): packing
@@ -420,7 +384,7 @@ impl CompiledDirectory {
     /// on the segment this row was compiled from, for any non-NaN `k`
     /// (±∞ clamp into the interval like every other key). NaN keys are a
     /// caller error: the query paths resolve them to `None` in
-    /// `locate`/cursor before ever evaluating, and the padded kernels do
+    /// `locate` before ever evaluating, and the padded kernels do
     /// not reproduce the trimmed oracle's NaN propagation bit-for-bit.
     #[inline]
     pub fn eval(&self, i: usize, k: f64) -> f64 {
@@ -691,29 +655,6 @@ impl CompiledDirectory {
     pub fn segments(&self) -> Vec<Segment> {
         (0..self.len()).map(|i| self.segment(i)).collect()
     }
-
-    /// A monotone lookup cursor for ascending key sweeps, starting before
-    /// the first segment. The directory invariants the per-probe loop
-    /// needs (key slice, row arena, stride, kernel tag) are loaded once
-    /// here instead of being re-derived on every call.
-    pub fn cursor(&self) -> CompiledCursor<'_> {
-        CompiledCursor {
-            lo_keys: &self.lo_keys,
-            rows: &self.rows,
-            row_stride: self.row_stride,
-            kernel: self.kernel,
-            upper: 0,
-        }
-    }
-
-    /// A cursor pre-positioned at `k` by one branchless lookup, so a sweep
-    /// restricted to a sub-range of the key domain (the parallel batch
-    /// path's per-thread chunks) does not gallop from the domain start.
-    pub fn cursor_at(&self, k: f64) -> CompiledCursor<'_> {
-        let mut c = self.cursor();
-        c.upper = if k.is_nan() { 0 } else { self.upper_rank(k) };
-        c
-    }
 }
 
 /// Fill the Eytzinger array (and its slot → sorted-rank map) by an
@@ -748,46 +689,6 @@ fn build_eytzinger(sorted: &[f64]) -> (Vec<f64>, Vec<u32>, u32) {
     fill(sorted, &mut eytz, &mut rank, 1, &mut next);
     debug_assert_eq!(next, h);
     (eytz, rank, levels)
-}
-
-/// See [`CompiledDirectory::cursor`]. Feeding keys out of ascending order
-/// is a logic error (the cursor never rewinds). The cursor carries the
-/// invariant directory state (key slice, arena, stride, kernel tag) as
-/// plain fields so the per-probe loop touches no double indirection.
-#[derive(Clone, Debug)]
-pub struct CompiledCursor<'a> {
-    lo_keys: &'a [f64],
-    rows: &'a [f64],
-    row_stride: usize,
-    kernel: HornerKernel,
-    /// Number of `lo_keys` known to be ≤ the last key seen.
-    upper: usize,
-}
-
-impl CompiledCursor<'_> {
-    /// Equivalent to [`CompiledDirectory::locate`] provided keys arrive in
-    /// ascending order.
-    #[inline]
-    pub fn locate(&mut self, k: f64) -> Option<usize> {
-        if k.is_nan() {
-            // `partition_point(lo <= NaN)` is 0: mirror `locate` exactly.
-            return None;
-        }
-        let lo_keys = self.lo_keys;
-        while self.upper < lo_keys.len() && lo_keys[self.upper] <= k {
-            self.upper += 1;
-        }
-        self.upper.checked_sub(1)
-    }
-
-    /// Fused monotone locate-and-evaluate, bitwise-identical to
-    /// [`CompiledDirectory::locate_eval`] for ascending keys — the scalar
-    /// sweep analogue of the batched engine.
-    #[inline]
-    pub fn locate_eval(&mut self, k: f64) -> Option<f64> {
-        let i = self.locate(k)?;
-        Some(eval_row(self.kernel, &self.rows[i * self.row_stride..][..self.row_stride], k))
-    }
 }
 
 #[cfg(test)]
@@ -830,16 +731,6 @@ mod tests {
         let d = directory();
         assert!(d.segment_for(-5.0).is_none());
         assert_eq!(d.segment_for(15.0).unwrap().lo_key, 10.0);
-    }
-
-    #[test]
-    fn cursor_matches_locate_on_ascending_sweep() {
-        let d = directory();
-        let keys = [-5.0, -0.1, 0.0, 0.0, 3.3, 9.99, 10.0, 10.0, 25.0, 1e9, f64::NAN];
-        let mut c = d.cursor();
-        for &k in &keys {
-            assert_eq!(c.locate(k), d.locate(k), "key {k}");
-        }
     }
 
     #[test]
@@ -915,29 +806,12 @@ mod tests {
     }
 
     #[test]
-    fn compiled_cursor_and_cursor_at() {
-        let compiled = CompiledDirectory::from_segments(segments());
-        let probes = [-5.0, -0.1, 0.0, 0.0, 3.3, 9.99, 10.0, 10.0, 25.0, 1e9];
-        let mut c = compiled.cursor();
-        for &k in &probes {
-            assert_eq!(c.locate(k), compiled.locate(k), "key {k}");
-        }
-        // A pre-positioned cursor continues a sweep mid-domain.
-        let mut c = compiled.cursor_at(10.0);
-        for &k in &[10.0, 12.0, 25.0, 40.0] {
-            assert_eq!(c.locate(k), compiled.locate(k), "key {k}");
-        }
-        assert_eq!(compiled.cursor_at(f64::NAN).locate(0.0), compiled.locate(0.0));
-    }
-
-    #[test]
     fn compiled_empty_directory() {
         let compiled = CompiledDirectory::from_segments(Vec::new());
         assert!(compiled.is_empty());
         assert_eq!(compiled.len(), 0);
         assert_eq!(compiled.locate(1.0), None);
         assert_eq!(compiled.locate(f64::NAN), None);
-        assert_eq!(compiled.cursor().locate(1.0), None);
         assert_eq!(compiled.max_certified_error(), 0.0);
         assert_eq!(compiled.segments_logical_bytes(), 0);
     }

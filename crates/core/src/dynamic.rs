@@ -34,6 +34,7 @@
 //! refits a small fraction of the index instead of paying a full rebuild.
 
 use std::collections::BTreeMap;
+use std::io;
 use std::ops::Bound;
 use std::path::Path;
 use std::sync::Arc;
@@ -51,11 +52,11 @@ use crate::function::{cumulative_function_sorted, validate_records, TargetFuncti
 use crate::index_sum::PolyFitSum;
 use crate::segment::Segment;
 use crate::segmentation::{greedy_next_segment, ErrorMetric, SegmentSpec};
-use crate::serialize::{DecodeError, Reader, WalRecord, Writer};
+use crate::serialize::{DecodeError, Reader, WalRecord};
 use crate::stats::SegmentStats;
 use crate::wal::{
-    checkpoint_path, log_path, read_checkpoint, scan_wal, truncate_torn_tail, Journal,
-    RecoveryReport, SyncPolicy, WalError,
+    checkpoint_path, plan_replay, segment_path, truncate_torn_tail, Checkpointer, Journal,
+    RecoveryReport, ReplayPlan, SyncPolicy, WalError,
 };
 
 /// Default per-step compaction budget (measure: merged points covered by
@@ -233,7 +234,8 @@ pub struct DynamicPolyFitSum {
     /// plus the (small) buffer.
     base: Option<Arc<PolyFitSum>>,
     /// All records currently folded into `base` (kept for rebuilds).
-    base_records: Vec<Record>,
+    /// `Arc`-shared so a checkpoint can stream them after the swap.
+    base_records: Arc<Vec<Record>>,
     /// Pending measure deltas per key (positive = insert, negative =
     /// delete), ordered by key bits. While a rebuild is pending this
     /// holds only the *fresh* deltas that arrived after staging.
@@ -259,7 +261,8 @@ pub struct DynamicPolyFitSum {
     refit_segments_total: usize,
     /// The durable write path, when attached: every insert/delete is
     /// journaled *before* it folds into the in-memory state, and every
-    /// compaction swap checkpoints + truncates the log.
+    /// compaction swap is journaled (every `CHECKPOINT_EVERY`-th one with
+    /// a checkpoint and a new log segment).
     journal: Option<Journal>,
     /// Reusable batch buffer for the journaled [`Self::apply_updates`]
     /// fast path. The serving loop often drains one-update batches, so a
@@ -324,7 +327,7 @@ impl DynamicPolyFitSum {
         let base = PolyFitSum::build_sorted(&records, delta, config, opts)?;
         Ok(DynamicPolyFitSum {
             base: Some(Arc::new(base)),
-            base_records: records,
+            base_records: Arc::new(records),
             buffer: BTreeMap::new(),
             buffer_limit: buffer_limit.max(1),
             delta,
@@ -732,7 +735,7 @@ impl DynamicPolyFitSum {
             // over, so reused spans can be drift-checked cheaply.
             let mut old_cf = Vec::with_capacity(self.base_records.len());
             let mut acc = 0.0;
-            for r in &self.base_records {
+            for r in self.base_records.iter() {
                 acc += r.measure;
                 old_cf.push(acc);
             }
@@ -848,7 +851,7 @@ impl DynamicPolyFitSum {
     fn finish_swap(&mut self, p: PendingRebuild) {
         // Failpoint: die at the instant the shadow index would be
         // installed — the worst-case crash point for the durable path,
-        // since the WAL checkpoint for this swap has not been cut yet.
+        // since neither the swap record nor a checkpoint for it exists.
         // Recovery must replay the pre-swap journal bitwise.
         crate::failpoint::hit("dynamic.swap.panic");
         let report = CompactionReport {
@@ -863,7 +866,7 @@ impl DynamicPolyFitSum {
             // Delete-everything workload: a valid degenerate state — the
             // buffer alone answers queries (exactly).
             self.base = None;
-            self.base_records = Vec::new();
+            self.base_records = Arc::default();
         } else {
             let total = *p.cf.values.last().expect("non-empty merged set");
             let domain = p.cf.domain();
@@ -875,7 +878,7 @@ impl DynamicPolyFitSum {
                 Some(p.out_stats),
                 p.build_time,
             )));
-            self.base_records = p.merged;
+            self.base_records = Arc::new(p.merged);
         }
         // Deferred zero-delta removals (entries that cancelled while
         // their key was staged) drop now; what remains is exactly the
@@ -885,19 +888,17 @@ impl DynamicPolyFitSum {
         self.reused_segments_total += p.reused;
         self.refit_segments_total += p.refit_segments;
         self.last_compaction = Some(report);
-        // The swap is the log-truncation point: journal the swap record,
-        // checkpoint the post-swap state, start a fresh log. Fail-stop on
+        // Journal the swap; at a checkpoint swap, hand the journal the
+        // frozen post-swap state (no serialization here). Fail-stop on
         // I/O error — the swap already happened in memory, and a write
         // path that cannot persist must not keep acknowledging.
-        if self.journal.is_some() {
-            // (`to_bytes` needs `&self`, so serialize before borrowing
-            // the journal mutably — and only when one is attached.)
-            let bytes = self.to_bytes();
+        if let Some(due) = self.journal.as_ref().map(Journal::checkpoint_due) {
+            let state = due.then(|| self.freeze());
             let rebuilds = self.rebuilds as u64;
-            if let Some(j) = self.journal.as_mut() {
-                j.checkpoint(p.staged_at, &bytes, rebuilds)
-                    .expect("wal checkpoint failed (fail-stop)");
-            }
+            let journal = self.journal.as_mut().expect("checked above");
+            journal
+                .record_swap(p.staged_at, rebuilds, state)
+                .expect("wal checkpoint failed (fail-stop)");
         }
     }
 
@@ -1192,7 +1193,7 @@ impl DynamicPolyFitSum {
             };
             Ok(DynamicPolyFitSum {
                 base,
-                base_records: records,
+                base_records: Arc::new(records),
                 buffer,
                 buffer_limit: self.buffer_limit,
                 delta: self.delta,
@@ -1225,7 +1226,7 @@ impl DynamicPolyFitSum {
             self.pending.is_none() && right.pending.is_none(),
             "merge_with during a pending rebuild"
         );
-        let mut records = self.base_records.clone();
+        let mut records = self.base_records.to_vec();
         records.extend_from_slice(&right.base_records);
         let mut buffer = self.buffer.clone();
         buffer.extend(right.buffer.iter().map(|(&k, &v)| (k, v)));
@@ -1257,7 +1258,7 @@ impl DynamicPolyFitSum {
         };
         Ok(DynamicPolyFitSum {
             base,
-            base_records: records,
+            base_records: Arc::new(records),
             buffer,
             buffer_limit: self.buffer_limit,
             delta: self.delta,
@@ -1294,11 +1295,15 @@ impl DynamicPolyFitSum {
     // ------------------------------------------------------------------
 
     /// Attach a write-ahead log: checkpoint the current state into
-    /// `<dir>/<name>.ckpt` at update cursor `seq`, start a fresh log, and
-    /// from here on journal every insert/delete before it folds into the
-    /// in-memory state. Compaction swaps checkpoint + truncate the log;
-    /// call [`Self::wal_sync`] to group-commit buffered appends (the
-    /// serving loop does this once per deadline window).
+    /// `<dir>/<name>.ckpt` at update cursor `seq` (synchronously), start
+    /// a fresh log in segment `<dir>/<name>.wal`, and from here on journal
+    /// every insert/delete before it folds into the in-memory state.
+    /// Compaction swaps are journaled, and every
+    /// [`CHECKPOINT_EVERY`](crate::wal::CHECKPOINT_EVERY)-th one
+    /// checkpoints and switches to a new segment — inline at the swap,
+    /// or on a server's checkpointer thread. Call [`Self::wal_sync`] to
+    /// group-commit buffered appends (the serving loop does this before
+    /// every publish).
     ///
     /// # Panics
     /// Panics if a shadow rebuild is in flight — attach at a quiesced
@@ -1316,6 +1321,14 @@ impl DynamicPolyFitSum {
         let journal = Journal::create(dir, name, policy, &bytes, seq, self.rebuilds as u64)?;
         self.journal = Some(journal);
         Ok(())
+    }
+
+    /// Have `ck` write this index's checkpoints from now on, off the
+    /// thread that swaps (no-op without a journal).
+    pub(crate) fn attach_checkpointer(&mut self, ck: &Checkpointer) {
+        if let Some(j) = &mut self.journal {
+            j.attach_checkpointer(ck);
+        }
     }
 
     /// Detach and return the journal (buffered appends are synced first).
@@ -1341,8 +1354,8 @@ impl DynamicPolyFitSum {
     /// Group commit: push every buffered journal append to disk with one
     /// write + fsync. No-op without a journal or when already synced.
     /// The serving loop calls this after draining a window's updates and
-    /// *before* answering its queries, so an acknowledged ticket implies
-    /// its updates are durable.
+    /// *before* publishing the state that holds them, so every state a
+    /// reader can observe is durable.
     pub fn wal_sync(&mut self) -> Result<(), WalError> {
         match &mut self.journal {
             Some(j) => j.sync().map_err(WalError::Io),
@@ -1350,18 +1363,22 @@ impl DynamicPolyFitSum {
         }
     }
 
-    /// Crash recovery: load the last checkpoint from `<dir>/<name>.ckpt`,
-    /// scan the log, truncate any torn tail (truncate-at-corruption), and
-    /// replay — updates re-apply through the normal insert/delete path
-    /// and each journaled compaction swap re-stages at its recorded
-    /// cursor and compacts blocking, which PR 3's contract makes
-    /// bitwise-identical to the live stepped rebuild. The recovered index
-    /// answers bit-for-bit like one that never crashed.
+    /// Crash recovery: load the checkpoint `<dir>/<name>.ckpt`, read the
+    /// log segments after it, truncate a torn tail
+    /// (truncate-at-corruption), and replay — updates re-apply through
+    /// the normal insert/delete path and each journaled compaction swap
+    /// re-stages at its recorded cursor and compacts blocking, which the
+    /// stepped == blocking compaction contract makes bitwise-identical to
+    /// the live stepped rebuild. The recovered index answers bit-for-bit
+    /// like one that never crashed. Beside a live journal this reads a
+    /// consistent state (see [`crate::wal`]); it writes only the
+    /// truncation.
     ///
-    /// The returned index has **no journal attached** — call
-    /// [`Self::attach_wal`] with [`RecoveryReport::head_seq`] to resume
-    /// durable serving (which collapses checkpoint + tail into a fresh
-    /// checkpoint).
+    /// The returned index has **no journal attached** — use
+    /// [`Self::resume_wal`] to recover and keep journaling where the log
+    /// left off, or [`Self::attach_wal`] with
+    /// [`RecoveryReport::head_seq`] to start a fresh journal from a new
+    /// checkpoint.
     ///
     /// # Errors
     /// A missing directory — or one with no checkpoint for `name` — is a
@@ -1369,77 +1386,49 @@ impl DynamicPolyFitSum {
     /// [`WalError::NoJournal`] naming the path instead of a raw
     /// `NotFound` I/O error.
     pub fn recover(dir: &Path, name: &str) -> Result<(Self, RecoveryReport), WalError> {
+        Self::replay(dir, name).map(|(idx, report, _)| (idx, report))
+    }
+
+    /// [`Self::recover`], then resume journaling in the newest log
+    /// segment (or a new one, when the checkpoint is ahead of every
+    /// segment) instead of writing a fresh checkpoint. The checkpoint
+    /// cadence continues from the replayed swaps, so the next recovery
+    /// again replays at most
+    /// [`CHECKPOINT_EVERY`](crate::wal::CHECKPOINT_EVERY)` − 1` of them.
+    /// Takes the directory over: segments the replay could not reach are
+    /// deleted.
+    pub fn resume_wal(
+        dir: &Path,
+        name: &str,
+        policy: SyncPolicy,
+    ) -> Result<(Self, RecoveryReport), WalError> {
+        let (mut idx, report, plan) = Self::replay(dir, name)?;
+        idx.journal = Some(Journal::resume(dir, name, policy, &plan)?);
+        Ok((idx, report))
+    }
+
+    fn replay(dir: &Path, name: &str) -> Result<(Self, RecoveryReport, ReplayPlan), WalError> {
         if !checkpoint_path(dir, name).exists() {
             return Err(WalError::NoJournal(dir.to_path_buf()));
         }
-        let ckpt = read_checkpoint(&checkpoint_path(dir, name))?;
-        let mut idx = Self::from_bytes(&ckpt.index).map_err(WalError::Decode)?;
-        let path = log_path(dir, name);
-        let scan = scan_wal(&path)?;
-        let truncated_bytes = truncate_torn_tail(&path, &scan)?;
-
-        // Pass 1 — split the valid log prefix into updates (with their
-        // absolute cursors) and the swap stage-points that still need
-        // replaying. The log's leading self-describing checkpoint record
-        // carries the rebuild count at the log's base; each swap in the
-        // log installs one more, so swaps the checkpoint file already
-        // covers (crash between checkpoint replace and log truncation)
-        // are skipped by rebuild count, and updates the checkpoint
-        // covers are skipped by cursor.
-        let mut base_rebuilds = idx.rebuilds as u64;
-        let mut swap_no = 0u64;
-        let mut cursor = scan.base_seq;
-        let mut updates: Vec<(u64, Update)> = Vec::new();
-        let mut swap_points: Vec<u64> = Vec::new();
-        for rec in &scan.records {
-            match *rec {
-                WalRecord::Insert { key, measure } => {
-                    cursor += 1;
-                    if cursor > ckpt.updates_applied {
-                        updates.push((cursor, Update::Insert { key, measure }));
-                    }
-                }
-                WalRecord::Delete { key, measure } => {
-                    cursor += 1;
-                    if cursor > ckpt.updates_applied {
-                        updates.push((cursor, Update::Delete { key, measure }));
-                    }
-                }
-                WalRecord::CompactionSwap { staged_at } => {
-                    swap_no += 1;
-                    if base_rebuilds + swap_no > ckpt.rebuilds {
-                        swap_points.push(staged_at);
-                    }
-                }
-                WalRecord::Checkpoint { rebuilds, .. } => {
-                    // The log-header record: pins the rebuild count at
-                    // the log's base (normally equal to the decoded
-                    // index's, but the checkpoint file may be one swap
-                    // ahead of this log — see above).
-                    base_rebuilds = rebuilds;
-                    swap_no = 0;
-                }
-                WalRecord::SplitAt { .. } | WalRecord::Merge { .. } => {
-                    // Layout records live in the layout log; tolerate
-                    // strays rather than fail a recovery.
-                }
-            }
+        let plan = plan_replay(dir, name)?;
+        let mut idx = Self::from_bytes(&plan.checkpoint.index).map_err(WalError::Decode)?;
+        let mut truncated_bytes = 0;
+        for s in &plan.chain {
+            truncated_bytes += truncate_torn_tail(&segment_path(dir, name, s.number), &s.scan)?;
         }
 
-        // Pass 2 — oracle-style replay: apply updates in order, and at
-        // each surviving stage-point compact blocking before applying
-        // the updates that arrived after it. Auto-driving is disabled so
-        // compaction happens exactly where the log says it did.
+        // Oracle-style replay: apply updates in order, and at each
+        // stage-point compact blocking before applying the updates that
+        // arrived after it. Auto-driving is disabled so compaction
+        // happens exactly where the log says it did.
         let restore_budget = idx.step_budget;
         idx.set_step_budget(0);
-        let replayed_updates = updates.len() as u64;
-        let replayed_swaps = swap_points.len() as u64;
-        let mut swaps = swap_points.into_iter().peekable();
-        for (at, u) in updates {
-            while swaps.peek().is_some_and(|&s| s < at) {
+        let mut swaps = plan.swaps.iter().peekable();
+        for &(at, u) in &plan.updates {
+            while swaps.next_if(|&&s| s < at).is_some() {
                 idx.begin_compaction();
                 idx.compact_now();
-                swaps.next();
             }
             match u {
                 Update::Insert { key, measure } => idx.try_insert(key, measure)?,
@@ -1453,14 +1442,92 @@ impl DynamicPolyFitSum {
         idx.set_step_budget(restore_budget);
 
         let report = RecoveryReport {
-            checkpoint_seq: ckpt.updates_applied,
-            replayed_updates,
-            replayed_swaps,
-            head_seq: scan.head_seq,
+            checkpoint_seq: plan.checkpoint.updates_applied,
+            replayed_updates: plan.updates.len() as u64,
+            replayed_swaps: plan.swaps.len() as u64,
+            head_seq: plan.head_seq,
             truncated_bytes,
         };
-        Ok((idx, report))
+        Ok((idx, report, plan))
     }
+
+    /// The state [`Self::to_bytes`] encodes, frozen: `Arc` clones of the
+    /// base and its record run plus a copy of the buffered deltas.
+    pub(crate) fn freeze(&self) -> Frozen {
+        Frozen {
+            base: self.base.clone(),
+            records: Arc::clone(&self.base_records),
+            entries: self.control_entries(),
+            delta: self.delta,
+            config: self.config,
+            buffer_limit: self.buffer_limit,
+            rebuilds: self.rebuilds,
+        }
+    }
+}
+
+/// A [`DynamicPolyFitSum`]'s serializable state frozen at one instant —
+/// what a checkpoint writes. It shares the base and its record run by
+/// `Arc`, so a checkpointer thread streams the PFD2 bytes without a
+/// checkpoint-sized copy ever being made.
+pub(crate) struct Frozen {
+    base: Option<Arc<PolyFitSum>>,
+    records: Arc<Vec<Record>>,
+    entries: Vec<(f64, f64)>,
+    delta: f64,
+    config: PolyFitConfig,
+    buffer_limit: usize,
+    rebuilds: usize,
+}
+
+impl Frozen {
+    /// The base block: the base index's PFS2 bytes (empty without one).
+    /// Encoded up front, because its length precedes it.
+    pub(crate) fn base_bytes(&self) -> Vec<u8> {
+        self.base.as_ref().map(|b| b.to_bytes()).unwrap_or_default()
+    }
+
+    /// Length of the PFD2 encoding with base block `base`.
+    pub(crate) fn encoded_len(&self, base: &[u8]) -> usize {
+        4 + 8 + 6 * 4 + base.len() + 4 + 16 * self.records.len() + 4 + 16 * self.entries.len()
+    }
+
+    /// Write the PFD2 encoding (see [`DynamicPolyFitSum::to_bytes`]) with
+    /// base block `base` to `w`.
+    pub(crate) fn encode(&self, base: &[u8], w: &mut impl io::Write) -> io::Result<()> {
+        w.write_all(MAGIC_DYNAMIC)?;
+        w.write_all(&self.delta.to_le_bytes())?;
+        for v in [
+            self.config.degree as u32,
+            backend_tag(self.config.backend),
+            // 0 encodes None (a real cap is always ≥ 1).
+            self.config.max_segment_len.unwrap_or(0) as u32,
+            self.buffer_limit as u32,
+            self.rebuilds as u32,
+            base.len() as u32,
+        ] {
+            w.write_all(&v.to_le_bytes())?;
+        }
+        w.write_all(base)?;
+        write_pairs(w, self.records.len(), self.records.iter().map(|r| (r.key, r.measure)))?;
+        write_pairs(w, self.entries.len(), self.entries.iter().copied())
+    }
+}
+
+/// A `u32` count, then `n` `(f64, f64)` pairs.
+fn write_pairs(
+    w: &mut impl io::Write,
+    n: usize,
+    pairs: impl Iterator<Item = (f64, f64)>,
+) -> io::Result<()> {
+    w.write_all(&(n as u32).to_le_bytes())?;
+    for (a, b) in pairs {
+        let mut pair = [0u8; 16];
+        pair[..8].copy_from_slice(&a.to_le_bytes());
+        pair[8..].copy_from_slice(&b.to_le_bytes());
+        w.write_all(&pair)?;
+    }
+    Ok(())
 }
 
 /// An immutable frozen view of a [`DynamicPolyFitSum`]: the `Arc`-shared
@@ -1611,32 +1678,11 @@ impl DynamicPolyFitSum {
     /// index answers bitwise-identically and simply re-stages its
     /// compaction on the next update.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let base_bytes = self.base.as_ref().map(|b| b.to_bytes()).unwrap_or_default();
-        let entries = self.control_entries();
-        let mut w = Writer(Vec::with_capacity(
-            64 + base_bytes.len() + 16 * (self.base_records.len() + entries.len()),
-        ));
-        w.0.extend_from_slice(MAGIC_DYNAMIC);
-        w.f64(self.delta);
-        w.u32(self.config.degree as u32);
-        w.u32(backend_tag(self.config.backend));
-        // 0 encodes None (a real cap is always ≥ 1).
-        w.u32(self.config.max_segment_len.unwrap_or(0) as u32);
-        w.u32(self.buffer_limit as u32);
-        w.u32(self.rebuilds as u32);
-        w.u32(base_bytes.len() as u32);
-        w.0.extend_from_slice(&base_bytes);
-        w.u32(self.base_records.len() as u32);
-        for r in &self.base_records {
-            w.f64(r.key);
-            w.f64(r.measure);
-        }
-        w.u32(entries.len() as u32);
-        for &(key, dm) in &entries {
-            w.f64(key);
-            w.f64(dm);
-        }
-        w.0
+        let state = self.freeze();
+        let base = state.base_bytes();
+        let mut out = Vec::with_capacity(state.encoded_len(&base));
+        state.encode(&base, &mut out).expect("writing to a Vec cannot fail");
+        out
     }
 
     /// Decode a buffer produced by [`Self::to_bytes`]. The static index is
@@ -1706,7 +1752,7 @@ impl DynamicPolyFitSum {
         }
         Ok(DynamicPolyFitSum {
             base,
-            base_records,
+            base_records: Arc::new(base_records),
             buffer,
             buffer_limit,
             delta,

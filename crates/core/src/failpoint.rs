@@ -1,7 +1,7 @@
 //! Deterministic fault injection: named failpoint sites threaded through
 //! the concurrency- and durability-critical layers (`dynamic` compaction,
-//! the `shard` worker and its rebalancing, and the `wal` write path via
-//! its `VirtualFile` seam).
+//! the `shard` worker and its rebalancing, and the `wal` write path and
+//! checkpointer via its `VirtualFile` seam).
 //!
 //! ## Model
 //!
@@ -103,13 +103,18 @@ pub const SHARD_SITES: &[&str] = &[
     "shard.queue.push_fail",   // queue push failure storm (re-route path)
 ];
 
-/// Failpoint sites in the `wal` layer (the `VirtualFile` seam).
+/// Failpoint sites in the `wal` layer: the `VirtualFile` seam, which log
+/// segments, segment preparation and checkpoint files all write through,
+/// and the checkpoint protocol's steps.
 pub const WAL_SITES: &[&str] = &[
     "wal.write.err",       // injected write error (fail-stop)
     "wal.fsync.err",       // injected fsync error (fail-stop, fsyncgate)
     "wal.write.short",     // short write: tear inside a checksummed frame
     "wal.write.misdirect", // write lands at a stale offset
     "wal.write.duplicate", // the buffer is written twice
+    "wal.ckpt.begin",      // a checkpoint starts: stall or kill the checkpointer
+    "wal.ckpt.renamed",    // checkpoint renamed in place, directory not yet fsynced
+    "wal.ckpt.durable",    // checkpoint durable, superseded segments not yet deleted
 ];
 
 #[cfg(feature = "failpoints")]

@@ -69,7 +69,7 @@ pub mod workqueue;
 
 pub use build::{segment_function, BuildOptions, SegmentationMethod};
 pub use config::PolyFitConfig;
-pub use directory::{CompiledCursor, CompiledDirectory, DirectoryCursor, SegmentDirectory};
+pub use directory::{CompiledDirectory, SegmentDirectory};
 pub use drivers::{
     AvgAnswer, GuaranteedAvg, GuaranteedMax, GuaranteedMin, GuaranteedSum, RelAnswer,
 };

@@ -90,7 +90,9 @@ use crate::error::PolyFitError;
 use crate::function::validate_records;
 use crate::serialize::WalRecord;
 use crate::traits::{classify_bounds, QueryBounds, RangeAggregate};
-use crate::wal::{Journal, LayoutCheckpoint, LayoutLog, RecoveryReport, SyncPolicy, WalError};
+use crate::wal::{
+    Checkpointer, Journal, LayoutCheckpoint, LayoutLog, RecoveryReport, SyncPolicy, WalError,
+};
 
 /// Deadline windows above this are clamped — a misconfigured huge
 /// deadline must degrade to coarse batching, not to an unserved stall.
@@ -680,24 +682,26 @@ pub fn shard_wal_name(id: u64) -> String {
     format!("shard-{id}")
 }
 
-/// Remove `shard-*.{wal,ckpt}` files whose shard id is not in the live
-/// layout — segments of shards retired by a rebalance whose cutover
-/// record reached the layout log (the only place ids leave the layout),
-/// or children staged by a rebalance that never committed. Best-effort:
-/// a leftover file is garbage, never a correctness hazard.
+/// Remove the files of shards not in the live layout — checkpoints,
+/// checkpoint temp files and log segments (`shard-<id>.ckpt`,
+/// `.shard-<id>.ckpt.tmp`, `shard-<id>[.<n>].wal`) of shards retired by
+/// a rebalance whose cutover record reached the layout log (the only
+/// place ids leave the layout), or children staged by a rebalance that
+/// never committed. Best-effort: a leftover file is garbage, never a
+/// correctness hazard.
 fn remove_orphan_segments(dir: &Path, live: &[u64]) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
     for entry in entries.flatten() {
         let name = entry.file_name();
-        let Some(name) = name.to_str() else {
+        let Some(rest) =
+            name.to_str().and_then(|n| n.trim_start_matches('.').strip_prefix("shard-"))
+        else {
             continue;
         };
-        let Some(stem) = name.strip_suffix(".wal").or_else(|| name.strip_suffix(".ckpt")) else {
-            continue;
-        };
-        let Some(id) = stem.strip_prefix("shard-").and_then(|s| s.parse::<u64>().ok()) else {
+        let digits = rest.split('.').next().unwrap_or_default();
+        let Ok(id) = digits.parse::<u64>() else {
             continue;
         };
         if !live.contains(&id) {
@@ -707,12 +711,15 @@ fn remove_orphan_segments(dir: &Path, live: &[u64]) {
 }
 
 /// Server-wide durability state: the WAL directory every per-shard
-/// journal lives in, plus the layout log journaling split/merge cutovers
-/// (rebalances are serialized server-wide, so one mutex is uncontended).
+/// journal lives in, the layout log journaling split/merge cutovers
+/// (rebalances are serialized server-wide, so one mutex is uncontended),
+/// and the checkpointer thread every shard's journal hands its
+/// checkpoints to.
 struct WalShared {
     dir: PathBuf,
     policy: SyncPolicy,
     layout: Mutex<LayoutLog>,
+    checkpointer: Checkpointer,
 }
 
 struct ServerShared {
@@ -1016,11 +1023,13 @@ impl ShardedServer {
     }
 
     /// [`Self::start`] with a durable write path: every shard journals
-    /// its updates into `<wal_dir>/shard-{id}.wal` (checkpointing on
-    /// compaction swaps), rebalance cutovers append to the layout log,
-    /// and a worker group-fsyncs its window's appends before publishing
-    /// the snapshot that holds them — every answer reflects only durable
-    /// writes. Recover the whole server after a crash with
+    /// its updates into log segments `<wal_dir>/shard-{id}[.<n>].wal`,
+    /// and a checkpointer thread checkpoints a shard at every
+    /// [`CHECKPOINT_EVERY`](crate::wal::CHECKPOINT_EVERY)-th compaction
+    /// swap, off the shard's worker. Rebalance cutovers append to the
+    /// layout log, and a worker group-fsyncs its window's appends before
+    /// publishing the snapshot that holds them — every answer reflects
+    /// only durable writes. Recover the whole server after a crash with
     /// [`Self::recover`].
     pub fn start_with_wal(
         records: Vec<Record>,
@@ -1060,6 +1069,7 @@ impl ShardedServer {
         let mut rts = Vec::with_capacity(shards);
         let mut indexes = Vec::with_capacity(shards);
         let mut bounds = Vec::with_capacity(shards.saturating_sub(1));
+        let checkpointer = wal.as_ref().map(|_| Checkpointer::start());
         for (i, chunk) in chunks.into_iter().enumerate() {
             if i + 1 < shards {
                 bounds.push(chunk.last().expect("non-empty chunk").key);
@@ -1072,20 +1082,21 @@ impl ShardedServer {
                 DynamicPolyFitSum::with_options(chunk, delta, config, cfg.buffer_limit, &cfg.build)
                     .map_err(WalError::Build)?;
             index.set_step_budget(0);
-            if let Some((dir, policy)) = &wal {
+            if let (Some((dir, policy)), Some(ck)) = (&wal, &checkpointer) {
                 index.attach_wal(dir, &shard_wal_name(id), *policy, 0)?;
+                index.attach_checkpointer(ck);
             }
             rts.push(ShardRt::new(&domain, id, &index, 0));
             indexes.push(index);
         }
-        let wal = match wal {
-            Some((dir, policy)) => {
+        let wal = match (wal, checkpointer) {
+            (Some((dir, policy)), Some(checkpointer)) => {
                 let layout =
                     LayoutCheckpoint { ids: (0..shards as u64).collect(), bounds: bounds.clone() };
                 let log = LayoutLog::create(&dir, &layout)?;
-                Some(WalShared { dir, policy, layout: Mutex::new(log) })
+                Some(WalShared { dir, policy, layout: Mutex::new(log), checkpointer })
             }
-            None => None,
+            _ => None,
         };
         let shared = Arc::new(ServerShared {
             layout: Published::new(&domain, Layout { version: 1, bounds, shards: rts.clone() }),
@@ -1114,13 +1125,14 @@ impl ShardedServer {
 
     /// Crash recovery: rebuild the exact pre-crash server from
     /// `wal_dir`. The layout log replays the split/merge lineage to the
-    /// routing table that was live at the crash; each surviving shard
-    /// then recovers independently from its own checkpoint + log tail
-    /// ([`DynamicPolyFitSum::recover`]) and re-attaches its journal at
-    /// the recovered cursor. Orphaned log segments of retired shards
+    /// routing table that was live at the crash; files of retired shards
     /// (their cutover record made the layout log before the crash) are
-    /// removed. Returns the running server plus per-shard recovery
-    /// reports in layout order.
+    /// removed. Each surviving shard then recovers from its own
+    /// checkpoint and log segments, one shard after another, and resumes
+    /// journaling in its newest segment
+    /// ([`DynamicPolyFitSum::resume_wal`]) — no checkpoint is rewritten.
+    /// Returns the running server plus per-shard recovery reports in
+    /// layout order.
     pub fn recover(
         wal_dir: &Path,
         cfg: ShardConfig,
@@ -1134,6 +1146,8 @@ impl ShardedServer {
             return Err(WalError::NoJournal(wal_dir.to_path_buf()));
         }
         let (layout_ckpt, _rebalances, _truncated) = LayoutLog::recover(wal_dir)?;
+        remove_orphan_segments(wal_dir, &layout_ckpt.ids);
+        let checkpointer = Checkpointer::start();
         let domain = Domain::new();
         let mut rts = Vec::with_capacity(layout_ckpt.ids.len());
         let mut parts = Vec::with_capacity(layout_ckpt.ids.len());
@@ -1142,9 +1156,9 @@ impl ShardedServer {
         let mut config = PolyFitConfig::default();
         for (i, &id) in layout_ckpt.ids.iter().enumerate() {
             let name = shard_wal_name(id);
-            let (mut index, report) = DynamicPolyFitSum::recover(wal_dir, &name)?;
+            let (mut index, report) = DynamicPolyFitSum::resume_wal(wal_dir, &name, policy)?;
             index.set_step_budget(0);
-            index.attach_wal(wal_dir, &name, policy, report.head_seq)?;
+            index.attach_checkpointer(&checkpointer);
             if i == 0 {
                 delta = index.delta();
                 config = index.config();
@@ -1154,11 +1168,8 @@ impl ShardedServer {
             parts.push((rt, index, report.head_seq));
             reports.push((id, report));
         }
-        // The recovered shards are durable again (attach_wal collapsed
-        // each checkpoint + tail); fold the replayed rebalances into a
-        // fresh layout checkpoint and drop retired shards' stale files.
+        // Fold the replayed rebalances into a fresh layout checkpoint.
         let log = LayoutLog::create(wal_dir, &layout_ckpt)?;
-        remove_orphan_segments(wal_dir, &layout_ckpt.ids);
         let next_id = layout_ckpt.ids.iter().copied().max().map_or(0, |m| m + 1);
         let shared = Arc::new(ServerShared {
             layout: Published::new(
@@ -1176,7 +1187,12 @@ impl ShardedServer {
             cfg,
             delta,
             config,
-            wal: Some(WalShared { dir: wal_dir.to_path_buf(), policy, layout: Mutex::new(log) }),
+            wal: Some(WalShared {
+                dir: wal_dir.to_path_buf(),
+                policy,
+                layout: Mutex::new(log),
+                checkpointer,
+            }),
         });
         {
             let mut threads = shared.threads.lock().expect("thread registry poisoned");
@@ -1240,9 +1256,9 @@ impl ShardedServer {
     }
 
     /// Stop accepting requests, apply and publish every queued write,
-    /// join every worker (including rebalance-spawned ones), and return
-    /// the final stats. Deferred reads resolve poisoned rather than
-    /// hanging their clients.
+    /// join every worker (including rebalance-spawned ones), finish the
+    /// checkpoints in flight (starting none), and return the final stats.
+    /// Deferred reads resolve poisoned rather than hanging their clients.
     pub fn shutdown(self) -> ShardedStats {
         self.shared.open.store(false, SeqCst);
         loop {
@@ -1267,6 +1283,9 @@ impl ShardedServer {
                 // join.
                 let _ = h.join();
             }
+        }
+        if let Some(w) = &self.shared.wal {
+            w.checkpointer.shutdown();
         }
         self.stats()
     }
@@ -1621,8 +1640,15 @@ impl Worker {
         if self.index.is_compacting() {
             self.index.step_compaction(self.shared.cfg.compaction_budget);
         }
-        if self.index.rebuilds() != before {
+        self.note_swap(before);
+    }
+
+    /// After a compaction that may have swapped: a swap changed the
+    /// published state and journaled a record the next publish fences.
+    fn note_swap(&mut self, rebuilds_before: usize) {
+        if self.index.rebuilds() != rebuilds_before {
             self.dirty = true;
+            self.wal_dirty = true;
         }
     }
 
@@ -1632,9 +1658,7 @@ impl Worker {
         if self.index.is_compacting() {
             let before = self.index.rebuilds();
             self.index.compact_now();
-            if self.index.rebuilds() != before {
-                self.dirty = true;
-            }
+            self.note_swap(before);
         }
     }
 
@@ -1725,10 +1749,12 @@ impl Worker {
             // before the record recovers the intact parent (the children
             // files are orphans); a crash after it recovers the children.
             // Only then do the parent's segments become garbage.
-            li.attach_wal(&w.dir, &shard_wal_name(lid), w.policy, 0)
-                .expect("wal attach for split child failed (fail-stop)");
-            ri.attach_wal(&w.dir, &shard_wal_name(rid), w.policy, 0)
-                .expect("wal attach for split child failed (fail-stop)");
+            for (child, id) in [(&mut li, lid), (&mut ri, rid)] {
+                child
+                    .attach_wal(&w.dir, &shard_wal_name(id), w.policy, 0)
+                    .expect("wal attach for split child failed (fail-stop)");
+                child.attach_checkpointer(&w.checkpointer);
+            }
             w.layout
                 .lock()
                 .expect("layout log poisoned")
@@ -1904,6 +1930,7 @@ impl Worker {
             merged
                 .attach_wal(&w.dir, &shard_wal_name(mid), w.policy, 0)
                 .expect("wal attach for merged shard failed (fail-stop)");
+            merged.attach_checkpointer(&w.checkpointer);
             w.layout
                 .lock()
                 .expect("layout log poisoned")
@@ -2620,6 +2647,48 @@ mod tests {
         assert_eq!(reports.len(), 3, "one report per shard: {reports:?}");
         assert_eq!(probe_values(&recovered.handle(), &probes), expected);
         recovered.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn background_checkpoint_is_to_bytes_at_its_swap() {
+        // The checkpointer streams PFD2 bytes from the state frozen at a
+        // swap; they must equal `to_bytes()` of the index at that swap,
+        // which the oracle rebuilds from the recorded history.
+        use crate::wal::{checkpoint_path, read_checkpoint, CHECKPOINT_EVERY};
+        let dir = wal_dir("checkpoint-bytes");
+        let cfg = recording_config(1);
+        let server = ShardedServer::start_with_wal(
+            records(600),
+            8.0,
+            capped(),
+            cfg,
+            &dir,
+            SyncPolicy::Batch,
+        )
+        .unwrap();
+        let handle = server.handle();
+        let ckpt_path = checkpoint_path(&dir, &shard_wal_name(0));
+        let checkpointed = || read_checkpoint(&ckpt_path).unwrap().rebuilds > 0;
+        let mut i = 0;
+        while (server.stats().shards[0].rebuilds < 2 * CHECKPOINT_EVERY || !checkpointed())
+            && i < 20_000
+        {
+            handle.insert(0.3 + (i % 280) as f64, 1.0).unwrap();
+            if i % 8 == 0 {
+                assert!(!handle.query_served(0.0, 1e4).poisoned);
+            }
+            i += 1;
+        }
+        // Quiesce compaction, so the history covers every swap.
+        let _ = handle.query_served(0.0, 1e4);
+        wait_for(&server, |s| s.shards[0].buffered < cfg.buffer_limit);
+        let oracle = server.oracle();
+        server.shutdown();
+        let ckpt = read_checkpoint(&ckpt_path).unwrap();
+        assert!(ckpt.rebuilds >= CHECKPOINT_EVERY, "checkpointed at {} swaps", ckpt.rebuilds);
+        let at_swap = oracle.index_at(0, ckpt.updates_applied, ckpt.rebuilds);
+        assert!(ckpt.index == at_swap.to_bytes(), "checkpoint bytes differ from to_bytes()");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,59 +1,83 @@
 //! Durable write path: an append-only, fsync-batched write-ahead log
-//! with checkpoint/replay crash recovery (the ROADMAP "durable update
-//! oplog" item).
+//! in segments, with background checkpoints and crash recovery that
+//! resumes the log.
 //!
 //! ## Design
 //!
 //! Every mutating index owns at most one [`Journal`] — the single seam
 //! the whole mutation path flows through:
 //!
-//! * **Log.** `<dir>/<name>.wal` is a stream of length-prefixed,
-//!   checksummed frames around [`WalRecord`] payloads, headed by a
-//!   magic-and-base-cursor header. Appends buffer in memory; [`Journal::sync`]
-//!   writes and fsyncs them in one batch (**group commit**). The serving
-//!   loop calls it once per deadline window, after draining the window's
-//!   updates and before answering its queries — so durability rides the
-//!   existing batching and an answered query implies every update it
-//!   observed is on disk.
-//! * **Checkpoint.** `<dir>/<name>.ckpt` holds the full serialized index
-//!   (the PFD2 format) wrapped in a checksummed container that adds the
-//!   replay cursor. Checkpoints are written at every compaction swap —
-//!   the moment the log's buffered deltas fold into the base — after
-//!   which the log is truncated to a fresh file whose header carries the
-//!   new cursor. Both writes are crash-atomic (temp file + rename +
-//!   parent-directory fsync, see [`atomic_write`]).
-//! * **Recovery.** Load the checkpoint, scan the log tail, replay. A
-//!   torn or corrupt frame ends the scan: everything before it is the
-//!   recovered state, the file is truncated there
+//! * **Log segments.** The log is a run of segment files,
+//!   `<dir>/<name>.wal` then `<dir>/<name>.<n>.wal` (see
+//!   [`segment_path`]). Each is a stream of length-prefixed, checksummed
+//!   frames around [`WalRecord`] payloads, headed by a magic-and-base-
+//!   cursor header and a [`WalRecord::Checkpoint`] record naming the
+//!   update cursor and swap count it starts at. Appends buffer in memory;
+//!   [`Journal::sync`] writes and fsyncs them in one batch (**group
+//!   commit**). The serving loop calls it before every snapshot publish,
+//!   so every state a reader can observe is on disk.
+//! * **Checkpoints.** `<dir>/<name>.ckpt` holds the full serialized index
+//!   (the PFD2 format) in a checksummed container that adds the replay
+//!   cursor. A checkpoint is due at every [`CHECKPOINT_EVERY`]-th
+//!   compaction swap. At such a swap the journal switches to the next
+//!   segment, a zero-filled file prepared in advance, and writes the swap
+//!   record at its head. A sharded server hands the post-swap state (the
+//!   `Arc`-shared base and record run plus the buffered deltas) to its
+//!   [`Checkpointer`] thread, which streams the checkpoint into a temp
+//!   file, fences it, renames it over `<name>.ckpt`, fsyncs the
+//!   directory, deletes the segments the checkpoint supersedes and
+//!   prepares the next segment. The shard worker does no checkpoint I/O.
+//!   At most one checkpoint per journal is in flight: one that falls due
+//!   while another runs moves to the next swap. A journal without a
+//!   checkpointer (a standalone index) runs the same steps inline at the
+//!   swap.
+//! * **Recovery.** Read the checkpoint, then every segment after it: a
+//!   torn or corrupt frame ends a segment's scan, everything before it
+//!   is recovered, the segment is truncated there
 //!   (truncate-at-corruption), and the tail is reported, never silently
-//!   dropped. Replay reuses the provenance discipline every PR built on:
-//!   updates re-apply through the normal insert/delete path and each
-//!   [`WalRecord::CompactionSwap`] re-stages at its recorded cursor and
-//!   compacts blocking — bitwise-identical to the live stepped rebuild,
-//!   so a recovered index answers bit-for-bit like one that never
-//!   crashed.
+//!   dropped. A segment whose base is past the point the checkpoint and
+//!   the segments before it reach (a gap) ends the replay. Updates re-apply through the
+//!   normal insert/delete path and each [`WalRecord::CompactionSwap`]
+//!   re-stages at its recorded cursor and compacts blocking —
+//!   bitwise-identical to the live stepped rebuild, so a recovered index
+//!   answers bit-for-bit like one that never crashed. A resumed journal
+//!   appends to the newest segment instead of writing a new checkpoint,
+//!   so a recovery replays at most `CHECKPOINT_EVERY − 1` swaps plus any
+//!   deferred checkpoint.
 //!
-//! ## Crash windows of the swap protocol
+//! ## Crash windows of the checkpoint protocol
 //!
-//! The compaction-swap checkpoint runs: ① append
-//! `CompactionSwap { staged_at }` and fsync the old log, ② atomically
-//! replace the checkpoint file, ③ atomically replace the log with a
-//! fresh one. A crash…
+//! At a checkpoint swap the journal ① fences its segment, ② switches to
+//! the prepared segment with the header and swap record buffered, and
+//! the checkpointer ③ writes and fences a temp file, ④ renames it over
+//! the checkpoint and fsyncs the directory, ⑤ deletes the superseded
+//! segments. A crash…
 //!
-//! * …before ① is durable: recovery replays the old checkpoint + update
-//!   tail without the swap. The swap is bitwise-transparent to answers
-//!   (PR 3's contract), so the recovered index answers identically and
-//!   simply re-compacts later.
-//! * …between ① and ②: the old checkpoint + full log replay the swap via
-//!   the recorded `staged_at`.
-//! * …between ② and ③: the new checkpoint's cursor covers every update
-//!   and the swap; stale log records at or before the cursor are skipped
-//!   on replay.
+//! * …before the first fence of the new segment: it is all zeros, which
+//!   recovery reads as not yet started. The old checkpoint and segments
+//!   replay without the swap — a swap is bitwise-transparent to answers,
+//!   so the recovered index answers identically and re-compacts later.
+//! * …during ③ or between ③ and ④: the temp file is ignored; the old
+//!   checkpoint plus every segment replay the swap from its record.
+//! * …between the rename and the directory fsync, or between ④ and ⑤:
+//!   either checkpoint may be the one on disk. The new one covers the old
+//!   segments, whose records are skipped by cursor and swap count.
+//!
+//! Recovery opens every segment before it reads the checkpoint and reads
+//! the newest segment first. A live journal deletes a segment only after
+//! a checkpoint covering it is durable, and writes a segment only after
+//! the one before it is complete, so a recovery that runs beside a live
+//! journal never reads a segment mid-deletion or sees a gap the journal
+//! does not have.
 
+use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek as _, SeekFrom, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 
+use crate::dynamic::{Frozen, Update};
 use crate::error::PolyFitError;
 use crate::serialize::{decode_wal_record, DecodeError, Reader, WalRecord, Writer};
 
@@ -81,6 +105,19 @@ const MAX_FRAME_LEN: u32 = 1 << 20;
 /// all-zeros (nonzero FNV-1a), so an all-zero tail is clean preallocation
 /// while any nonzero garbage past the valid prefix is a torn tail.
 const PREALLOC_CHUNK: u64 = 256 * 1024;
+
+/// Checkpoint cadence: a journal checkpoints at every `CHECKPOINT_EVERY`-th
+/// compaction swap, so a recovery replays at most `CHECKPOINT_EVERY − 1`
+/// swaps (plus any checkpoint deferred while another was in flight).
+/// Replaying a swap and writing a checkpoint both cost O(shard size), so
+/// a swap count bounds recovery at any shard size. Chosen from a paired
+/// curve over 1–4 on the `ingest-durable` workload (README "Durability
+/// and recovery").
+pub const CHECKPOINT_EVERY: u64 = 2;
+
+/// The checkpoint writer's buffer: the encoding streams through it into
+/// the temp file, so no checkpoint-sized buffer is ever allocated.
+const CHECKPOINT_CHUNK: usize = 64 * 1024;
 
 /// FNV-1a, the classic 64-bit fold — dependency-free and plenty to catch
 /// torn writes and bit rot in a length-prefixed stream (this is an
@@ -195,24 +232,34 @@ pub static SYNC_FENCES: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomic
 /// rename itself is durable. A crash at any point leaves either the old
 /// complete file or the new complete file — never a torn mix.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).map(Path::to_path_buf);
-    let file_name = path.file_name().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "atomic_write needs a file path")
-    })?;
-    let mut tmp_name = std::ffi::OsString::from(".");
-    tmp_name.push(file_name);
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
+    if path.file_name().is_none() {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, "atomic_write needs a file path"));
+    }
+    let tmp = tmp_path(path);
     {
         let mut f = File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_data()?;
     }
     fs::rename(&tmp, path)?;
-    if let Some(dir) = dir {
-        fsync_dir(&dir)?;
+    fsync_parent(path)
+}
+
+/// The temp file a crash-atomic write of `path` goes through:
+/// `.<file name>.tmp` beside it.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(path.file_name().expect("a file path"));
+    tmp_name.push(".tmp");
+    path.with_file_name(tmp_name)
+}
+
+/// Fsync the directory holding `path`, pinning a rename or a new entry.
+fn fsync_parent(path: &Path) -> io::Result<()> {
+    match path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        Some(dir) => fsync_dir(dir),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 fn fsync_dir(dir: &Path) -> io::Result<()> {
@@ -434,18 +481,12 @@ fn write_fresh_log(path: &Path, base_seq: u64, rebuilds: u64) -> io::Result<(Log
         &WalRecord::Checkpoint { updates_applied: base_seq, rebuilds },
         12,
     ));
-    let file_name = path.file_name().expect("log path has a file name");
-    let mut tmp_name = std::ffi::OsString::from(".");
-    tmp_name.push(file_name);
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
+    let tmp = tmp_path(path);
     let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
     f.write_all(&w.0)?;
     f.sync_data()?;
     fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        fsync_dir(dir)?;
-    }
+    fsync_parent(path)?;
     // The tmp handle survives the rename (same inode) — keep appending
     // through it (wrapped in the VirtualFile seam from here on).
     let len = w.0.len() as u64;
@@ -488,15 +529,19 @@ impl WalScan {
 /// expected crash artifact and is *not* an error — it bounds
 /// `valid_len`; only a missing file or an unreadable header fails.
 pub fn scan_wal(path: &Path) -> Result<WalScan, WalError> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Err(WalError::Missing(path.to_path_buf()))
-        }
-        Err(e) => return Err(e.into()),
-    };
+    match fs::read(path) {
+        Ok(bytes) => scan_bytes(&bytes),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Err(WalError::Missing(path.to_path_buf())),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// [`scan_wal`] over a log file's bytes. The first frame must be the
+/// [`WalRecord::Checkpoint`] header record at the header's cursor; a
+/// segment whose header record is torn has an empty valid prefix.
+fn scan_bytes(bytes: &[u8]) -> Result<WalScan, WalError> {
     let file_len = bytes.len() as u64;
-    let mut r = Reader::new(&bytes);
+    let mut r = Reader::new(bytes);
     if r.take(4).map_err(WalError::Decode)? != MAGIC_WAL {
         return Err(DecodeError::BadMagic.into());
     }
@@ -527,6 +572,11 @@ pub fn scan_wal(path: &Path) -> Result<WalScan, WalError> {
         let Ok(rec) = decode_wal_record(payload) else {
             break; // DecodeError::Corrupt: treat as torn
         };
+        let header = matches!(rec, WalRecord::Checkpoint { updates_applied, .. }
+            if updates_applied == base_seq);
+        if records.is_empty() && !header {
+            break; // no header record: nothing after it can be placed
+        }
         if matches!(rec, WalRecord::Insert { .. } | WalRecord::Delete { .. }) {
             head_seq += 1;
         }
@@ -537,20 +587,72 @@ pub fn scan_wal(path: &Path) -> Result<WalScan, WalError> {
     Ok(WalScan { base_seq, records, head_seq, valid_len: pos as u64, file_len, zero_tail })
 }
 
-/// Encode the checkpoint container: `"PFC1" | fnv1a | updates_applied |
-/// rebuilds | index_len | index bytes`. The checksum covers everything
-/// after itself.
-fn encode_checkpoint(updates_applied: u64, rebuilds: u64, index: &[u8]) -> Vec<u8> {
-    let mut out = Writer(Vec::with_capacity(36 + index.len()));
-    out.0.extend_from_slice(MAGIC_CKPT);
-    out.u64(0); // checksum, patched below
-    out.u64(updates_applied);
-    out.u64(rebuilds);
-    out.u64(index.len() as u64);
-    out.0.extend_from_slice(index);
-    let cksum = fnv1a(&out.0[12..]);
-    out.0[4..12].copy_from_slice(&cksum.to_le_bytes());
-    out.0
+/// Streams a checkpoint container into its temp file through the
+/// [`VirtualFile`] seam: bytes collect in a [`CHECKPOINT_CHUNK`] buffer
+/// and fold into the running FNV-1a checksum on the way.
+struct CheckpointWriter {
+    file: LogFile,
+    buf: Vec<u8>,
+    hash: u64,
+}
+
+impl io::Write for CheckpointWriter {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        for &b in bytes {
+            self.hash ^= b as u64;
+            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.buf.extend_from_slice(bytes);
+        if self.buf.len() >= CHECKPOINT_CHUNK {
+            self.flush()?;
+        }
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+}
+
+/// Write journal `name`'s checkpoint crash-atomically: the container
+/// `"PFC1" | fnv1a | updates_applied | rebuilds | index_len | index`
+/// (the checksum covers everything after itself), where `index` is the
+/// `index_len` bytes `body` writes. The container streams into the temp
+/// file, the checksum is patched in, and the file is fenced, renamed over
+/// `<name>.ckpt` and the directory fsynced.
+fn write_checkpoint(
+    dir: &Path,
+    name: &str,
+    updates_applied: u64,
+    rebuilds: u64,
+    index_len: u64,
+    body: impl FnOnce(&mut CheckpointWriter) -> io::Result<()>,
+) -> io::Result<()> {
+    let path = checkpoint_path(dir, name);
+    let tmp = tmp_path(&path);
+    let f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
+    let mut out = CheckpointWriter {
+        file: log_file(f, 0),
+        buf: Vec::with_capacity(CHECKPOINT_CHUNK),
+        hash: fnv1a(b""),
+    };
+    out.buf.extend_from_slice(MAGIC_CKPT);
+    out.buf.extend_from_slice(&[0; 8]); // checksum, patched below
+    for v in [updates_applied, rebuilds, index_len] {
+        out.write_all(&v.to_le_bytes())?;
+    }
+    body(&mut out)?;
+    out.flush()?;
+    out.file.seek_to(4)?;
+    out.file.write_all(&out.hash.to_le_bytes())?;
+    out.file.sync_data()?;
+    fs::rename(&tmp, &path)?;
+    // Failpoint: the rename is in place but not yet pinned by the
+    // directory fsync.
+    crate::failpoint::hit("wal.ckpt.renamed");
+    fsync_parent(&path)
 }
 
 /// A decoded checkpoint: the replay cursor and the serialized index.
@@ -592,9 +694,86 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, WalError> {
     Ok(Checkpoint { updates_applied, rebuilds, index: bytes })
 }
 
-/// Log file path for a journal name.
+/// Log file path for a journal name: its first segment.
 pub fn log_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.wal"))
+}
+
+/// Path of log segment `n` of journal `name`: `<name>.wal` for segment 0
+/// (where a fresh journal starts, and the only segment journals written
+/// before segmenting have), `<name>.<n>.wal` after it. The directory
+/// stays flat.
+pub fn segment_path(dir: &Path, name: &str, n: u64) -> PathBuf {
+    if n == 0 {
+        log_path(dir, name)
+    } else {
+        dir.join(format!("{name}.{n}.wal"))
+    }
+}
+
+/// The segment number of file `file_name` if it is a log segment of
+/// journal `name`.
+fn segment_number(file_name: &str, name: &str) -> Option<u64> {
+    let rest = file_name.strip_prefix(name)?.strip_suffix(".wal")?;
+    if rest.is_empty() {
+        return Some(0);
+    }
+    let digits = rest.strip_prefix('.')?;
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok().filter(|&n| n > 0)
+}
+
+/// The log segments of journal `name` in `dir`, ascending by number.
+pub fn list_segments(dir: &Path, name: &str) -> io::Result<Vec<(u64, PathBuf)>> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        if let Some(n) = entry.file_name().to_str().and_then(|f| segment_number(f, name)) {
+            out.push((n, entry.path()));
+        }
+    }
+    out.sort_unstable_by_key(|&(n, _)| n);
+    Ok(out)
+}
+
+/// Delete journal `name`'s segments numbered below `n` — the ones a
+/// durable checkpoint at the start of segment `n` supersedes. Best-effort:
+/// a leftover superseded segment is skipped by recovery.
+fn remove_segments_below(dir: &Path, name: &str, n: u64) {
+    for (m, path) in list_segments(dir, name).unwrap_or_default() {
+        if m < n {
+            let _ = fs::remove_file(path);
+        }
+    }
+}
+
+/// Write `n` zero bytes at the file cursor.
+fn write_zeros(file: &mut LogFile, n: u64) -> io::Result<()> {
+    static ZEROS: [u8; 64 * 1024] = [0; 64 * 1024];
+    let mut left = n;
+    while left > 0 {
+        let k = left.min(ZEROS.len() as u64) as usize;
+        file.write_all(&ZEROS[..k])?;
+        left -= k as u64;
+    }
+    Ok(())
+}
+
+/// Prepare log segment `n`: a zero-filled [`PREALLOC_CHUNK`], fenced and
+/// with its directory entry fsynced, cursor at 0. All zeros reads as a
+/// segment not yet started, so the journal that switches to it writes its
+/// header with the first fence — a pure data overwrite.
+fn create_segment(dir: &Path, name: &str, n: u64) -> io::Result<LogFile> {
+    let path = segment_path(dir, name, n);
+    let f = OpenOptions::new().write(true).create(true).truncate(true).open(&path)?;
+    let mut file = log_file(f, 0);
+    write_zeros(&mut file, PREALLOC_CHUNK)?;
+    file.sync_data()?;
+    file.seek_to(0)?;
+    fsync_parent(&path)?;
+    Ok(file)
 }
 
 /// Checkpoint file path for a journal name.
@@ -606,28 +785,32 @@ pub fn checkpoint_path(dir: &Path, name: &str) -> PathBuf {
 // The journal
 // ---------------------------------------------------------------------------
 
-/// The durable seam of one mutating index: an open log file, a group-
-/// commit buffer, and the update cursor. Owned by a
+/// The durable seam of one mutating index: an open log segment, a
+/// group-commit buffer, and the update cursor. Owned by a
 /// [`DynamicPolyFitSum`](crate::dynamic::DynamicPolyFitSum) via
-/// `attach_wal`; every insert/delete appends here *before* it folds into
-/// the in-memory state, and every compaction swap checkpoints + truncates
-/// through [`Journal::checkpoint`].
+/// `attach_wal` (or `resume_wal` after a crash); every insert/delete
+/// appends here *before* it folds into the in-memory state, and every
+/// compaction swap is journaled, every [`CHECKPOINT_EVERY`]-th one with
+/// a checkpoint and a switch to a new segment (see the module docs).
 ///
-/// Failure stance is fail-stop: append/checkpoint I/O errors panic (a
-/// write path that cannot persist must not keep acknowledging), while
-/// the explicit [`Journal::sync`] returns the error to the caller (the
+/// Failure stance is fail-stop: append/swap I/O errors panic (a write
+/// path that cannot persist must not keep acknowledging), while the
+/// explicit [`Journal::sync`] returns the error to the caller (the
 /// serving loop turns it into a worker panic, which poisons in-flight
-/// tickets instead of hanging clients). And fail-stop is *sticky*: after
-/// any sync-path failure the journal refuses every further operation —
-/// per fsyncgate, a failed fsync leaves the page cache in an unknowable
-/// state, so retrying the fence could silently ack data that never
-/// reached the disk. The first error is returned typed; every later call
-/// fails with [`Journal::failed`]'s reason.
+/// tickets instead of hanging clients). A failed background checkpoint
+/// surfaces at the next sync the same way. And fail-stop is *sticky*:
+/// after any sync-path failure the journal refuses every further
+/// operation — per fsyncgate, a failed fsync leaves the page cache in an
+/// unknowable state, so retrying the fence could silently ack data that
+/// never reached the disk. The first error is returned typed; every
+/// later call fails with [`Journal::failed`]'s reason.
 pub struct Journal {
     dir: PathBuf,
     name: String,
     policy: SyncPolicy,
     file: LogFile,
+    /// Number of the segment `file` is (see [`segment_path`]).
+    segment: u64,
     /// Encoded frames not yet written to the file (group commit).
     buf: Vec<u8>,
     /// Update cursor: updates journaled so far, absolute.
@@ -644,6 +827,11 @@ pub struct Journal {
     /// `Some(reason)` once any sync-path I/O failed: the journal is
     /// fail-stopped and every subsequent operation refuses (fsyncgate).
     dead: Option<String>,
+    /// Compaction swaps journaled since the last checkpoint.
+    swaps_since: u64,
+    /// The checkpointer this journal hands its checkpoints to; without
+    /// one they run inline at the swap.
+    background: Option<Background>,
 }
 
 impl std::fmt::Debug for Journal {
@@ -652,6 +840,7 @@ impl std::fmt::Debug for Journal {
             .field("dir", &self.dir)
             .field("name", &self.name)
             .field("policy", &self.policy)
+            .field("segment", &self.segment)
             .field("seq", &self.seq)
             .field("pending_bytes", &self.buf.len())
             .finish()
@@ -660,7 +849,8 @@ impl std::fmt::Debug for Journal {
 
 impl Journal {
     /// Create (or overwrite) a journal: write a checkpoint of `index`
-    /// at cursor `seq`, then start a fresh log extending it. `dir` is
+    /// at cursor `seq`, then start a fresh log extending it in segment 0
+    /// (any later segments of the name are deleted first). `dir` is
     /// created if needed.
     pub fn create(
         dir: &Path,
@@ -671,28 +861,103 @@ impl Journal {
         rebuilds: u64,
     ) -> Result<Journal, WalError> {
         fs::create_dir_all(dir)?;
-        atomic_write(&checkpoint_path(dir, name), &encode_checkpoint(seq, rebuilds, index))?;
+        for (n, path) in list_segments(dir, name)? {
+            if n > 0 {
+                fs::remove_file(path)?;
+            }
+        }
+        write_checkpoint(dir, name, seq, rebuilds, index.len() as u64, |w| w.write_all(index))?;
         let (file, header_len) = write_fresh_log(&log_path(dir, name), seq, rebuilds)?;
-        let mut j = Journal {
-            dir: dir.to_path_buf(),
-            name: name.to_string(),
-            policy,
-            file,
-            buf: Vec::new(),
-            seq,
-            synced: true,
-            pos: header_len,
-            prealloc_end: header_len,
-            dead: None,
-        };
+        let mut j = Journal::open(dir, name, policy, file, 0, seq);
+        j.pos = header_len;
+        j.prealloc_end = header_len;
         j.prealloc_initial()?;
         Ok(j)
     }
 
+    fn open(
+        dir: &Path,
+        name: &str,
+        policy: SyncPolicy,
+        file: LogFile,
+        segment: u64,
+        seq: u64,
+    ) -> Journal {
+        Journal {
+            dir: dir.to_path_buf(),
+            name: name.to_string(),
+            policy,
+            file,
+            segment,
+            buf: Vec::new(),
+            seq,
+            synced: true,
+            pos: 0,
+            prealloc_end: 0,
+            dead: None,
+            swaps_since: 0,
+            background: None,
+        }
+    }
+
+    /// Resume journaling after [`plan_replay`] and the replay it planned:
+    /// append to the newest segment when it ends exactly at the replayed
+    /// head, else start a new one whose header names the head. Segments
+    /// the replay did not read are deleted first, and the checkpoint
+    /// cadence continues from the replayed swaps.
+    pub(crate) fn resume(
+        dir: &Path,
+        name: &str,
+        policy: SyncPolicy,
+        plan: &ReplayPlan,
+    ) -> Result<Journal, WalError> {
+        for &n in &plan.unused {
+            match fs::remove_file(segment_path(dir, name, n)) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e.into()),
+                _ => {}
+            }
+        }
+        if !plan.unused.is_empty() {
+            fsync_dir(dir)?;
+        }
+        let mut j = match plan.chain.last() {
+            Some(last) if plan.resumable => {
+                let f =
+                    OpenOptions::new().write(true).open(segment_path(dir, name, last.number))?;
+                let mut j =
+                    Journal::open(dir, name, policy, log_file(f, 0), last.number, plan.head_seq);
+                j.pos = last.scan.valid_len;
+                // A torn tail was truncated to the valid prefix; a clean
+                // one keeps its preallocated zeros.
+                j.prealloc_end =
+                    if last.scan.truncated() { last.scan.valid_len } else { last.scan.file_len };
+                j.file.seek_to(j.pos)?;
+                j
+            }
+            _ => {
+                let n = plan.next_segment;
+                let file = create_segment(dir, name, n)?;
+                let mut j = Journal::open(dir, name, policy, file, n, plan.head_seq);
+                j.start_segment(plan.head_rebuilds);
+                j
+            }
+        };
+        j.swaps_since = plan.swaps.len() as u64;
+        Ok(j)
+    }
+
+    /// Hand this journal's checkpoints to `ck` from now on. The segment
+    /// the first checkpoint switches to is prepared at the first swap, so
+    /// attaching (at start-up or recovery) starts no I/O.
+    pub(crate) fn attach_checkpointer(&mut self, ck: &Checkpointer) {
+        let queue = Arc::clone(&ck.queue);
+        self.background = Some(Background { queue, slot: Arc::default() });
+    }
+
     /// Zero-fill the first [`PREALLOC_CHUNK`] of a fresh log and commit
     /// the allocation, so every subsequent fence is a pure data
-    /// overwrite. Runs at attach/checkpoint time — off the serving hot
-    /// path — and leaves the file cursor parked at `pos`.
+    /// overwrite. Runs at attach time — off the serving hot path — and
+    /// leaves the file cursor parked at `pos`.
     fn prealloc_initial(&mut self) -> io::Result<()> {
         self.ensure_room(PREALLOC_CHUNK - self.pos.min(PREALLOC_CHUNK))?;
         self.file.sync_data()
@@ -709,10 +974,22 @@ impl Journal {
         }
         let new_end = end.div_ceil(PREALLOC_CHUNK) * PREALLOC_CHUNK;
         self.file.seek_to(self.prealloc_end)?;
-        self.file.write_all(&vec![0u8; (new_end - self.prealloc_end) as usize])?;
+        write_zeros(&mut self.file, new_end - self.prealloc_end)?;
         self.file.seek_to(self.pos)?;
         self.prealloc_end = new_end;
         Ok(())
+    }
+
+    /// Buffer the header of the (empty) current segment: the magic and
+    /// base cursor, then the [`WalRecord::Checkpoint`] header record with
+    /// `rebuilds`. The next fence writes it.
+    fn start_segment(&mut self, rebuilds: u64) {
+        self.buf.clear();
+        self.buf.extend_from_slice(MAGIC_WAL);
+        self.buf.extend_from_slice(&self.seq.to_le_bytes());
+        let rec = WalRecord::Checkpoint { updates_applied: self.seq, rebuilds };
+        frame_into(&mut self.buf, &rec, 12);
+        self.synced = false;
     }
 
     /// The journal's directory.
@@ -720,9 +997,14 @@ impl Journal {
         &self.dir
     }
 
-    /// The journal's name (file stem of its log/checkpoint pair).
+    /// The journal's name (file stem of its checkpoint and segments).
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The segment appends currently go to.
+    pub fn segment(&self) -> u64 {
+        self.segment
     }
 
     /// The update cursor: updates journaled so far.
@@ -768,7 +1050,7 @@ impl Journal {
     ///
     /// # Panics
     /// Panics on I/O failure (fail-stop; see the type docs).
-    pub fn append_updates(&mut self, updates: &[crate::dynamic::Update]) {
+    pub fn append_updates(&mut self, updates: &[Update]) {
         if updates.is_empty() {
             return;
         }
@@ -777,12 +1059,8 @@ impl Journal {
             // framing would silently group-commit. Take the slow path.
             for u in updates {
                 self.append(&match *u {
-                    crate::dynamic::Update::Insert { key, measure } => {
-                        WalRecord::Insert { key, measure }
-                    }
-                    crate::dynamic::Update::Delete { key, measure } => {
-                        WalRecord::Delete { key, measure }
-                    }
+                    Update::Insert { key, measure } => WalRecord::Insert { key, measure },
+                    Update::Delete { key, measure } => WalRecord::Delete { key, measure },
                 });
             }
             return;
@@ -793,12 +1071,8 @@ impl Journal {
         self.buf.reserve(29 * updates.len());
         for u in updates {
             let (tag, key, measure) = match *u {
-                crate::dynamic::Update::Insert { key, measure } => {
-                    (crate::serialize::WAL_TAG_INSERT, key, measure)
-                }
-                crate::dynamic::Update::Delete { key, measure } => {
-                    (crate::serialize::WAL_TAG_DELETE, key, measure)
-                }
+                Update::Insert { key, measure } => (crate::serialize::WAL_TAG_INSERT, key, measure),
+                Update::Delete { key, measure } => (crate::serialize::WAL_TAG_DELETE, key, measure),
             };
             let mut f = [0u8; 29];
             f[12] = tag;
@@ -816,12 +1090,14 @@ impl Journal {
     /// Group commit: write every buffered frame and fsync. No-op when
     /// the log already covers everything (cheap to call per batch).
     ///
-    /// The first failure anywhere on this path fail-stops the journal
-    /// permanently (see the type docs): the error comes back typed, and
-    /// every subsequent call — sync, append, checkpoint — refuses with
-    /// the recorded reason rather than silently retrying a fence whose
-    /// outcome is unknowable.
+    /// The first failure anywhere on this path — or in a background
+    /// checkpoint of this journal — fail-stops the journal permanently
+    /// (see the type docs): the error comes back typed, and every
+    /// subsequent call — sync, append, swap — refuses with the recorded
+    /// reason rather than silently retrying a fence whose outcome is
+    /// unknowable.
     pub fn sync(&mut self) -> io::Result<()> {
+        self.check_checkpointer();
         if let Some(reason) = &self.dead {
             return Err(io::Error::other(format!("journal is fail-stopped: {reason}")));
         }
@@ -848,53 +1124,430 @@ impl Journal {
         Ok(())
     }
 
+    /// Adopt a background checkpoint failure as this journal's own.
+    fn check_checkpointer(&mut self) {
+        if let (None, Some(bg)) = (&self.dead, &self.background) {
+            self.dead = bg.slot.lock().failure.clone();
+        }
+    }
+
     /// `Some(reason)` once the journal has fail-stopped after a
     /// sync-path I/O failure; `None` while healthy.
     pub fn failed(&self) -> Option<&str> {
         self.dead.as_deref()
     }
 
-    /// The compaction-swap checkpoint protocol (see the module docs for
-    /// the crash-window analysis):
-    ///
-    /// 1. append `CompactionSwap { staged_at }` (when the swap was
-    ///    journal-visible) and fsync the old log,
-    /// 2. atomically replace the checkpoint file with `index` at the
-    ///    current cursor,
-    /// 3. atomically replace the log with a fresh one extending it.
-    pub fn checkpoint(
+    /// `true` when the next compaction swap should checkpoint: the
+    /// [`CHECKPOINT_EVERY`]-th since the last checkpoint, or a later one
+    /// when that checkpoint was deferred.
+    pub(crate) fn checkpoint_due(&self) -> bool {
+        self.swaps_since + 1 >= CHECKPOINT_EVERY
+    }
+
+    /// Journal a compaction swap that brought the swap count to
+    /// `rebuilds`: a [`WalRecord::CompactionSwap`] when it was staged at
+    /// a journaled cursor (`staged_at`). With `state` (the post-swap
+    /// index, passed when [`Self::checkpoint_due`]) the swap also
+    /// checkpoints, unless the checkpointer is still busy with this
+    /// journal: the journal fences, switches to the prepared segment with
+    /// the swap record at its head, and hands `state` to the checkpointer
+    /// (or writes it inline without one). A checkpointer with no segment
+    /// prepared for this journal is asked for one at any swap.
+    pub(crate) fn record_swap(
         &mut self,
         staged_at: Option<u64>,
-        index: &[u8],
         rebuilds: u64,
+        state: Option<Frozen>,
     ) -> Result<(), WalError> {
-        if let Some(staged_at) = staged_at {
-            let off = self.pos + self.buf.len() as u64;
-            frame_into(&mut self.buf, &WalRecord::CompactionSwap { staged_at }, off);
-            self.synced = false;
+        self.swaps_since += 1;
+        if let Some(bg) = &self.background {
+            let mut slot = bg.slot.lock();
+            if !slot.busy && slot.spare.is_none() && slot.failure.is_none() {
+                slot.busy = true;
+                bg.queue.push(Job {
+                    slot: Arc::clone(&bg.slot),
+                    dir: self.dir.clone(),
+                    name: self.name.clone(),
+                    segment: self.segment + 1,
+                    checkpoint: None,
+                });
+            }
         }
-        self.sync()?;
-        atomic_write(
-            &checkpoint_path(&self.dir, &self.name),
-            &encode_checkpoint(self.seq, rebuilds, index),
-        )?;
-        let (file, header_len) =
-            write_fresh_log(&log_path(&self.dir, &self.name), self.seq, rebuilds)?;
-        self.file = file;
-        self.pos = header_len;
-        self.prealloc_end = header_len;
-        self.prealloc_initial()?;
-        self.synced = true;
+        if let Some(state) = state {
+            self.sync()?;
+            if let Some(next) = self.take_next_segment()? {
+                self.file = next;
+                self.segment += 1;
+                self.pos = 0;
+                self.prealloc_end = PREALLOC_CHUNK;
+                self.start_segment(rebuilds - u64::from(staged_at.is_some()));
+                if let Some(staged_at) = staged_at {
+                    self.append(&WalRecord::CompactionSwap { staged_at });
+                }
+                self.swaps_since = 0;
+                return self.checkpoint(state, rebuilds);
+            }
+        }
+        if let Some(staged_at) = staged_at {
+            self.append(&WalRecord::CompactionSwap { staged_at });
+        }
         Ok(())
     }
 
-    /// Remove a journal's file pair (used when a shard retires after a
-    /// rebalance). Missing files are fine — the caller may be cleaning
-    /// up after a half-completed retire.
-    pub fn remove_files(dir: &Path, name: &str) {
-        let _ = fs::remove_file(log_path(dir, name));
-        let _ = fs::remove_file(checkpoint_path(dir, name));
+    /// The prepared segment to switch to: the checkpointer's, or `None`
+    /// while its last job (a checkpoint, or the segment's preparation)
+    /// is in flight; created here without a checkpointer.
+    fn take_next_segment(&mut self) -> Result<Option<LogFile>, WalError> {
+        let Some(bg) = &self.background else {
+            return create_segment(&self.dir, &self.name, self.segment + 1)
+                .map(Some)
+                .map_err(|e| self.fail(e));
+        };
+        let mut slot = bg.slot.lock();
+        if slot.busy {
+            return Ok(None);
+        }
+        let spare = slot.spare.take();
+        slot.busy = spare.is_some();
+        Ok(spare)
     }
+
+    /// Checkpoint `state` at the current cursor, the start of the
+    /// current segment.
+    fn checkpoint(&mut self, state: Frozen, rebuilds: u64) -> Result<(), WalError> {
+        let Some(bg) = &self.background else {
+            return checkpoint_at(&self.dir, &self.name, self.segment, self.seq, rebuilds, &state)
+                .map_err(|e| self.fail(e));
+        };
+        bg.queue.push(Job {
+            slot: Arc::clone(&bg.slot),
+            dir: self.dir.clone(),
+            name: self.name.clone(),
+            segment: self.segment,
+            checkpoint: Some((self.seq, rebuilds, state)),
+        });
+        Ok(())
+    }
+
+    fn fail(&mut self, e: io::Error) -> WalError {
+        self.dead = Some(e.to_string());
+        WalError::Io(e)
+    }
+
+    /// Remove every file of a journal — checkpoint, its temp file and all
+    /// segments (used when a shard retires after a rebalance). Missing
+    /// files are fine — the caller may be cleaning up after a
+    /// half-completed retire.
+    pub fn remove_files(dir: &Path, name: &str) {
+        remove_segments_below(dir, name, u64::MAX);
+        let ckpt = checkpoint_path(dir, name);
+        let _ = fs::remove_file(tmp_path(&ckpt));
+        let _ = fs::remove_file(ckpt);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The checkpointer
+// ---------------------------------------------------------------------------
+
+/// One journal's handoff with the checkpointer.
+#[derive(Default)]
+struct Slot(Mutex<SlotState>);
+
+#[derive(Default)]
+struct SlotState {
+    /// A job for this journal is queued or running.
+    busy: bool,
+    /// The prepared next segment.
+    spare: Option<LogFile>,
+    /// Why a job failed: sticky, the journal fail-stops on it.
+    failure: Option<String>,
+}
+
+impl Slot {
+    /// Every update of the state is one assignment, so a guard poisoned
+    /// mid-update still holds valid state.
+    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+struct Background {
+    queue: Arc<JobQueue>,
+    slot: Arc<Slot>,
+}
+
+/// Checkpoint work for one journal: prepare segment `segment`, or, with
+/// `checkpoint = (updates_applied, rebuilds, state)`, checkpoint at the
+/// start of segment `segment`, delete the segments before it, and
+/// prepare the one after it.
+struct Job {
+    slot: Arc<Slot>,
+    dir: PathBuf,
+    name: String,
+    segment: u64,
+    checkpoint: Option<(u64, u64, Frozen)>,
+}
+
+/// Checkpoint `state` (cursor `updates_applied`, `rebuilds` swaps) as
+/// of the start of segment `segment`, then delete the segments before it.
+fn checkpoint_at(
+    dir: &Path,
+    name: &str,
+    segment: u64,
+    updates_applied: u64,
+    rebuilds: u64,
+    state: &Frozen,
+) -> io::Result<()> {
+    // Failpoint: the checkpoint starts (a delay stalls the checkpointer,
+    // a panic kills it before it writes).
+    crate::failpoint::hit("wal.ckpt.begin");
+    let base = state.base_bytes();
+    let index_len = state.encoded_len(&base) as u64;
+    write_checkpoint(dir, name, updates_applied, rebuilds, index_len, |w| state.encode(&base, w))?;
+    // Failpoint: the checkpoint is durable; the segments it supersedes
+    // are not yet deleted.
+    crate::failpoint::hit("wal.ckpt.durable");
+    remove_segments_below(dir, name, segment);
+    Ok(())
+}
+
+impl Job {
+    /// Run on the checkpointer thread: a panic (an injected one) fails
+    /// the journal like an I/O error instead of killing the thread.
+    fn run(self) {
+        let Job { slot, dir, name, segment, checkpoint } = self;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let next = match checkpoint {
+                Some((updates_applied, rebuilds, state)) => {
+                    checkpoint_at(&dir, &name, segment, updates_applied, rebuilds, &state)?;
+                    segment + 1
+                }
+                None => segment,
+            };
+            create_segment(&dir, &name, next)
+        }));
+        let mut state = slot.lock();
+        state.busy = false;
+        match outcome {
+            Ok(Ok(file)) => state.spare = Some(file),
+            Ok(Err(e)) => state.failure = Some(format!("checkpoint failed: {e}")),
+            Err(_) => state.failure = Some("checkpointer panicked".to_string()),
+        }
+    }
+}
+
+#[derive(Default)]
+struct JobQueue {
+    /// Pending jobs, and whether the queue is closed.
+    jobs: Mutex<(VecDeque<Job>, bool)>,
+    ready: Condvar,
+}
+
+impl JobQueue {
+    fn push(&self, job: Job) {
+        let mut jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        jobs.0.push_back(job);
+        self.ready.notify_one();
+    }
+
+    /// The next job; `None` once the queue is closed and drained.
+    fn pop(&self) -> Option<Job> {
+        let mut jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(job) = jobs.0.pop_front() {
+                return Some(job);
+            }
+            if jobs.1 {
+                return None;
+            }
+            jobs = self.ready.wait(jobs).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    fn close(&self) {
+        self.jobs.lock().unwrap_or_else(|e| e.into_inner()).1 = true;
+        self.ready.notify_all();
+    }
+}
+
+/// The background thread that writes checkpoints for the journals of one
+/// server and prepares their next segments, so a shard worker's
+/// checkpoint swap costs a segment switch and a queue push. Journals
+/// join it with `attach_checkpointer`; [`Checkpointer::shutdown`]
+/// finishes every queued job, and no journal waits on it meanwhile.
+#[derive(Debug)]
+pub(crate) struct Checkpointer {
+    queue: Arc<JobQueue>,
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl std::fmt::Debug for JobQueue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JobQueue").finish_non_exhaustive()
+    }
+}
+
+impl Checkpointer {
+    /// Start the checkpointer thread.
+    pub(crate) fn start() -> Checkpointer {
+        let queue = Arc::new(JobQueue::default());
+        let jobs = Arc::clone(&queue);
+        let thread = std::thread::Builder::new()
+            .name("polyfit-checkpointer".into())
+            .spawn(move || {
+                while let Some(job) = jobs.pop() {
+                    job.run();
+                }
+            })
+            .expect("spawn the checkpointer thread");
+        Checkpointer { queue, thread: Mutex::new(Some(thread)) }
+    }
+
+    /// Finish the queued and running jobs, then stop the thread. Call
+    /// once no journal will swap again.
+    pub(crate) fn shutdown(&self) {
+        self.queue.close();
+        if let Some(t) = self.thread.lock().unwrap_or_else(|e| e.into_inner()).take() {
+            let _ = t.join();
+        }
+    }
+}
+
+impl Drop for Checkpointer {
+    fn drop(&mut self) {
+        self.queue.close();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Recovery
+// ---------------------------------------------------------------------------
+
+/// One log segment in a [`ReplayPlan`]'s chain.
+#[derive(Clone, Debug)]
+pub struct SegmentScan {
+    /// Segment number (see [`segment_path`]).
+    pub number: u64,
+    /// The segment's valid prefix.
+    pub scan: WalScan,
+}
+
+/// What recovering journal `name` reads: the checkpoint, the chain of
+/// segments replay runs through, and the updates and swaps to re-apply.
+#[derive(Clone, Debug)]
+pub struct ReplayPlan {
+    /// The checkpoint replay starts from.
+    pub checkpoint: Checkpoint,
+    /// Segments replay reads, oldest first — including superseded ones,
+    /// whose records the checkpoint already covers and replay skips.
+    pub chain: Vec<SegmentScan>,
+    /// Segment files replay does not read: not started (all zeros, like
+    /// a prepared segment), unreadable, or after a gap.
+    pub unused: Vec<u64>,
+    /// Updates to re-apply, with their absolute cursors.
+    pub updates: Vec<(u64, Update)>,
+    /// Stage points of the swaps to re-apply, in order.
+    pub swaps: Vec<u64>,
+    /// Update cursor after replay.
+    pub head_seq: u64,
+    /// Swap count after replay.
+    pub head_rebuilds: u64,
+    /// The last chain segment ends exactly at the head (appends can
+    /// continue in it).
+    pub resumable: bool,
+    /// A segment number above every existing one.
+    pub next_segment: u64,
+}
+
+/// Plan the recovery of journal `name` in `dir` without touching it
+/// (see the module docs for the read order that makes this safe beside a
+/// live journal).
+pub fn plan_replay(dir: &Path, name: &str) -> Result<ReplayPlan, WalError> {
+    let listed = list_segments(dir, name)?;
+    let next_segment = listed.last().map_or(0, |&(n, _)| n + 1);
+    let mut files = Vec::with_capacity(listed.len());
+    for (n, path) in listed {
+        match File::open(&path) {
+            Ok(f) => files.push((n, f, Vec::new())),
+            // Superseded and deleted since the listing: the checkpoint
+            // read below covers it.
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    for (_, f, bytes) in files.iter_mut().rev() {
+        f.read_to_end(bytes)?;
+    }
+    let checkpoint = read_checkpoint(&checkpoint_path(dir, name))?;
+
+    let mut at = (checkpoint.updates_applied, checkpoint.rebuilds);
+    let mut plan = ReplayPlan {
+        checkpoint,
+        chain: Vec::new(),
+        unused: Vec::new(),
+        updates: Vec::new(),
+        swaps: Vec::new(),
+        head_seq: 0,
+        head_rebuilds: 0,
+        resumable: false,
+        next_segment,
+    };
+    let mut gap = false;
+    for (number, _, bytes) in files {
+        let scan = match scan_bytes(&bytes) {
+            Ok(scan) if !gap => scan,
+            // Not started (all zeros), unreadable, or past a gap.
+            _ => {
+                plan.unused.push(number);
+                continue;
+            }
+        };
+        let base_rebuilds = match scan.records.first() {
+            Some(&WalRecord::Checkpoint { rebuilds, .. }) => rebuilds,
+            _ => at.1,
+        };
+        // A segment continues the replay when it starts at or before the
+        // point reached so far; past it, the updates or swaps between are
+        // lost and the replay ends (a torn tail before a segment the
+        // checkpoint reaches costs nothing).
+        if scan.base_seq > at.0 || base_rebuilds > at.1 {
+            gap = true;
+            plan.unused.push(number);
+            continue;
+        }
+        let (mut cursor, mut swaps) = (scan.base_seq, base_rebuilds);
+        for rec in &scan.records {
+            match *rec {
+                WalRecord::Insert { key, measure } | WalRecord::Delete { key, measure } => {
+                    cursor += 1;
+                    if cursor > at.0 {
+                        let u = match rec {
+                            WalRecord::Insert { .. } => Update::Insert { key, measure },
+                            _ => Update::Delete { key, measure },
+                        };
+                        plan.updates.push((cursor, u));
+                        at.0 = cursor;
+                    }
+                }
+                WalRecord::CompactionSwap { staged_at } => {
+                    swaps += 1;
+                    if swaps > at.1 {
+                        plan.swaps.push(staged_at);
+                        at.1 = swaps;
+                    }
+                }
+                // The header record; a hand-damaged log may repeat it.
+                WalRecord::Checkpoint { rebuilds, .. } => swaps = rebuilds,
+                // Layout records live in the layout log; tolerate strays.
+                WalRecord::SplitAt { .. } | WalRecord::Merge { .. } => {}
+            }
+        }
+        plan.resumable = (cursor, swaps) == at && !scan.records.is_empty();
+        plan.chain.push(SegmentScan { number, scan });
+    }
+    (plan.head_seq, plan.head_rebuilds) = at;
+    Ok(plan)
 }
 
 /// What [`DynamicPolyFitSum::recover`](crate::dynamic::DynamicPolyFitSum::recover)
@@ -1246,25 +1899,156 @@ mod tests {
         assert_eq!(truncate_torn_tail(&path, &scan).unwrap(), 0);
     }
 
+    fn small_index() -> crate::dynamic::DynamicPolyFitSum {
+        use polyfit_exact::dataset::Record;
+        let records = (0..64).map(|i| Record::new(i as f64, 1.0)).collect();
+        let cfg = crate::config::PolyFitConfig::default();
+        let mut idx = crate::dynamic::DynamicPolyFitSum::new(records, 4.0, cfg, 1_000).unwrap();
+        idx.set_step_budget(0);
+        idx
+    }
+
     #[test]
-    fn checkpoint_truncates_log_and_preserves_cursor() {
+    fn checkpoint_switches_segment_and_preserves_cursor() {
         let dir = tmp_dir("ckpt");
-        let mut j = Journal::create(&dir, "t", SyncPolicy::Batch, b"OLD", 0, 0).unwrap();
-        for i in 0..5 {
-            j.append(&WalRecord::Insert { key: i as f64, measure: 1.0 });
+        let mut idx = small_index();
+        idx.attach_wal(&dir, "t", SyncPolicy::Batch, 0).unwrap();
+        for round in 0..CHECKPOINT_EVERY {
+            for i in 0..5 {
+                idx.insert(100.0 + (round * 5 + i) as f64, 1.0);
+            }
+            assert!(idx.begin_compaction());
+            idx.compact_now();
         }
-        j.checkpoint(Some(3), b"NEW", 1).unwrap();
+        // The last swap checkpointed its state at cursor `seq` and
+        // switched to segment 1; the checkpoint superseded segment 0.
+        let seq = 5 * CHECKPOINT_EVERY;
         let ckpt = read_checkpoint(&checkpoint_path(&dir, "t")).unwrap();
-        assert_eq!((ckpt.updates_applied, ckpt.rebuilds), (5, 1));
-        assert_eq!(ckpt.index, b"NEW");
-        let scan = scan_wal(&log_path(&dir, "t")).unwrap();
-        assert_eq!(scan.base_seq, 5);
-        assert_eq!(scan.head_seq, 5);
-        assert_eq!(scan.records, vec![WalRecord::Checkpoint { updates_applied: 5, rebuilds: 1 }]);
-        // Appends continue on the fresh log.
-        j.append(&WalRecord::Insert { key: 9.0, measure: 1.0 });
+        assert_eq!((ckpt.updates_applied, ckpt.rebuilds), (seq, CHECKPOINT_EVERY));
+        assert_eq!(ckpt.index, idx.to_bytes(), "the checkpoint is to_bytes() at the swap");
+        assert_eq!(idx.wal().unwrap().segment(), 1);
+        let segments: Vec<u64> = list_segments(&dir, "t").unwrap().iter().map(|s| s.0).collect();
+        assert_eq!(segments, vec![1]);
+        // Segment 1 is all zeros until its first fence.
+        assert!(scan_wal(&segment_path(&dir, "t", 1)).is_err());
+        idx.insert(999.0, 1.0);
+        idx.wal_sync().unwrap();
+        let scan = scan_wal(&segment_path(&dir, "t", 1)).unwrap();
+        assert_eq!((scan.base_seq, scan.head_seq), (seq, seq + 1));
+        let header = WalRecord::Checkpoint { updates_applied: seq, rebuilds: CHECKPOINT_EVERY - 1 };
+        assert_eq!(scan.records[..2], [header, WalRecord::CompactionSwap { staged_at: seq }]);
+        // Recovery reads the checkpoint and segment 1, replaying no swap.
+        let (rec, report) = crate::dynamic::DynamicPolyFitSum::recover(&dir, "t").unwrap();
+        assert_eq!((report.replayed_updates, report.replayed_swaps), (1, 0));
+        assert_eq!(rec.to_bytes(), idx.to_bytes());
+    }
+
+    #[test]
+    fn single_file_journal_recovers_and_resumes() {
+        // The layout journals had before segmenting: one `<name>.ckpt`
+        // and one `<name>.wal`, here caught between a swap's checkpoint
+        // and the log restart that followed it, so the checkpoint is a
+        // swap ahead of the log.
+        use crate::dynamic::DynamicPolyFitSum;
+        let dir = tmp_dir("single-file");
+        let mut live = small_index();
+        let mut j = Journal::create(&dir, "t", SyncPolicy::Batch, &live.to_bytes(), 0, 0).unwrap();
+        for i in 0..5 {
+            live.insert(100.0 + i as f64, 1.0);
+            j.append(&WalRecord::Insert { key: 100.0 + i as f64, measure: 1.0 });
+        }
+        assert!(live.begin_compaction());
+        live.compact_now();
+        j.append(&WalRecord::CompactionSwap { staged_at: 5 });
         j.sync().unwrap();
-        assert_eq!(scan_wal(&log_path(&dir, "t")).unwrap().head_seq, 6);
+        drop(j);
+        let bytes = live.to_bytes();
+        write_checkpoint(&dir, "t", 5, 1, bytes.len() as u64, |w| w.write_all(&bytes)).unwrap();
+        let (mut resumed, report) =
+            DynamicPolyFitSum::resume_wal(&dir, "t", SyncPolicy::Batch).unwrap();
+        assert_eq!((report.head_seq, report.replayed_updates, report.replayed_swaps), (5, 0, 0));
+        assert_eq!(resumed.to_bytes(), bytes);
+        assert_eq!(resumed.wal().unwrap().segment(), 0, "appends continue in <name>.wal");
+        resumed.insert(7.5, 2.0);
+        live.insert(7.5, 2.0);
+        resumed.wal_sync().unwrap();
+        let (rec, report) = DynamicPolyFitSum::recover(&dir, "t").unwrap();
+        assert_eq!(report.head_seq, 6);
+        assert_eq!(rec.to_bytes(), live.to_bytes());
+    }
+
+    /// Segment `n` of journal `t` by hand: a header at `base` with
+    /// `rebuilds`, then one insert frame per key.
+    fn write_segment(dir: &Path, n: u64, base: u64, rebuilds: u64, keys: &[f64]) {
+        let mut bytes = MAGIC_WAL.to_vec();
+        bytes.extend_from_slice(&base.to_le_bytes());
+        frame_into(&mut bytes, &WalRecord::Checkpoint { updates_applied: base, rebuilds }, 12);
+        for &key in keys {
+            let off = bytes.len() as u64;
+            frame_into(&mut bytes, &WalRecord::Insert { key, measure: 1.0 }, off);
+        }
+        fs::write(segment_path(dir, "t", n), bytes).unwrap();
+    }
+
+    #[test]
+    fn segments_chain_until_a_gap() {
+        use crate::dynamic::DynamicPolyFitSum;
+        let dir = tmp_dir("chain");
+        let mut idx = small_index();
+        idx.attach_wal(&dir, "t", SyncPolicy::Batch, 0).unwrap();
+        let mut n = 0;
+        while idx.wal().unwrap().segment() == 0 {
+            for _ in 0..3 {
+                idx.insert(100.0 + n as f64, 1.0);
+                n += 1;
+            }
+            assert!(idx.begin_compaction());
+            idx.compact_now();
+        }
+        idx.insert(99.5, 1.0);
+        idx.wal_sync().unwrap();
+        let live = idx.to_bytes();
+        drop(idx);
+        let (seq, rebuilds) = (n as u64, CHECKPOINT_EVERY);
+        // A superseded segment 0 left behind, with a torn tail: the
+        // checkpoint reaches segment 1, so the replay goes on.
+        write_segment(&dir, 0, 0, 0, &[100.0, 101.0]);
+        let path = segment_path(&dir, "t", 0);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.extend_from_slice(&[7; 9]);
+        fs::write(&path, bytes).unwrap();
+        // A segment 3 past a gap: segment 1 ends at `seq + 1`.
+        write_segment(&dir, 3, seq + 2, rebuilds, &[5.0]);
+        let plan = plan_replay(&dir, "t").unwrap();
+        let chain: Vec<u64> = plan.chain.iter().map(|s| s.number).collect();
+        assert_eq!((chain, plan.unused.clone()), (vec![0, 1], vec![3]));
+        assert_eq!((plan.head_seq, plan.updates.len()), (seq + 1, 1));
+        let (rec, report) = DynamicPolyFitSum::recover(&dir, "t").unwrap();
+        assert_eq!((report.head_seq, report.truncated_bytes), (seq + 1, 9));
+        assert_eq!(rec.to_bytes(), live);
+        // Resuming deletes the segment past the gap, then appends.
+        let (mut resumed, _) = DynamicPolyFitSum::resume_wal(&dir, "t", SyncPolicy::Batch).unwrap();
+        let left: Vec<u64> = list_segments(&dir, "t").unwrap().iter().map(|s| s.0).collect();
+        assert_eq!(left, vec![0, 1]);
+        resumed.insert(98.5, 1.0);
+        resumed.wal_sync().unwrap();
+        assert_eq!(DynamicPolyFitSum::recover(&dir, "t").unwrap().1.head_seq, seq + 2);
+    }
+
+    #[test]
+    fn segment_names_parse_back() {
+        let dir = Path::new("/d");
+        for n in [0, 1, 17] {
+            let path = segment_path(dir, "shard-1", n);
+            let file = path.file_name().unwrap().to_str().unwrap();
+            assert_eq!(segment_number(file, "shard-1"), Some(n), "{file}");
+            assert_eq!(segment_number(file, "shard-10"), None, "{file}");
+        }
+        for file in
+            ["shard-10.wal", "shard-1.ckpt", "shard-1..wal", "shard-1.0.wal", "shard-1.x.wal"]
+        {
+            assert_eq!(segment_number(file, "shard-1"), None, "{file}");
+        }
     }
 
     #[test]
@@ -1317,7 +2101,7 @@ mod tests {
             pfd2.extend_from_slice(&v.to_le_bytes());
         }
         pfd2.extend_from_slice(&base);
-        atomic_write(&checkpoint_path(&dir, "shard-0"), &encode_checkpoint(0, 0, &pfd2)).unwrap();
+        write_checkpoint(&dir, "shard-0", 0, 0, pfd2.len() as u64, |w| w.write_all(&pfd2)).unwrap();
         let err = ShardedServer::recover(&dir, cfg, SyncPolicy::Batch).err();
         assert!(matches!(err, Some(WalError::Decode(DecodeError::Truncated))), "{err:?}");
         // A 16-byte layout checkpoint with a valid checksum and shard count

@@ -28,7 +28,7 @@ use polyfit_suite::exact::dataset::Record;
 use polyfit_suite::polyfit::failpoint::{self, Schedule};
 use polyfit_suite::polyfit::prelude::*;
 use polyfit_suite::polyfit::wal as pwal;
-use polyfit_suite::polyfit::ShardConfig;
+use polyfit_suite::polyfit::{ShardConfig, ShardHandle};
 
 /// One registry, many tests: take this before touching failpoints. A
 /// panicking test (several tests *expect* panics) must not wedge the
@@ -952,6 +952,251 @@ fn read_your_writes_follows_forwarded_stragglers() {
         assert!(oracle.matches(served), "read {i}: {served:?} vs {:?}", oracle.expected(served));
     }
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// The checkpointer: crash windows, faults, stalls, recovery beside it
+// ---------------------------------------------------------------------------
+
+/// A one-shard WAL engine whose checkpointer is stalled in its first
+/// checkpoint (`wal.ckpt.begin=delay(stall_ms)`), with every write so far
+/// acknowledged — read back by its writer — and the checkpoint swap's
+/// state published, so the worker is idle: the next I/O is the
+/// checkpointer's. `swaps` is the swap count the checkpoint holds.
+struct Stalled {
+    dir: PathBuf,
+    server: ShardedServer,
+    writer: ShardHandle,
+    acked: u64,
+    swaps: u64,
+}
+
+fn stall_first_checkpoint(tag: &str, stall_ms: u64) -> Stalled {
+    failpoint::configure("wal.ckpt.begin", &format!("delay({stall_ms})")).unwrap();
+    let dir = fresh_wal_dir(tag);
+    let server = wal_engine(&dir, 10, 48, SyncPolicy::Batch);
+    let writer = server.handle();
+    for (i, &(ins, k, m)) in update_stream(2_000).iter().enumerate() {
+        if ins {
+            writer.insert(k, m).unwrap();
+        } else {
+            writer.delete(k, m).unwrap();
+        }
+        assert!(!writer.query_served(k - 1.0, k + 1.0).poisoned);
+        if failpoint::hits("wal.ckpt.begin") > 0 {
+            // One more write, read back: its publish covers the swap that
+            // started the checkpoint, so that swap's fence is done.
+            writer.insert(0.125, 1.0).unwrap();
+            assert!(!writer.query_served(0.0, 0.25).poisoned);
+            let swaps = server.stats().shards[0].rebuilds;
+            return Stalled { dir, server, writer, acked: i as u64 + 2, swaps };
+        }
+    }
+    panic!("no checkpoint started");
+}
+
+/// Poll (bounded) until `done` holds.
+fn eventually(what: &str, done: impl Fn() -> bool) {
+    let start = std::time::Instant::now();
+    while !done() {
+        assert!(start.elapsed() < Duration::from_secs(5), "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// After the checkpointer ran into `arms` (or not): one more write and
+/// its read either land or find the server fail-stopped; then recovery
+/// from the directory must hold every acknowledged update and answer
+/// bitwise like the oracle replay. Returns whether the server
+/// fail-stopped.
+fn finish_checkpoint_window(s: Stalled, label: &str) -> bool {
+    let Stalled { dir, server, writer, acked, .. } = s;
+    let last = catch_unwind(AssertUnwindSafe(|| {
+        writer.insert(0.25, 1.0).unwrap();
+        writer.query_served(-50.0, 50.0)
+    }));
+    let fail_stopped = !matches!(&last, Ok(served) if !served.poisoned);
+    let acked = acked + u64::from(!fail_stopped);
+    let oracle = server.oracle();
+    server.shutdown();
+    failpoint::reset();
+    let (recovered, report) = recover_frozen(&dir);
+    assert!(
+        report.head_seq >= acked && report.head_seq <= acked + 1,
+        "{label}: recovered head {} vs {acked} acked",
+        report.head_seq
+    );
+    let handle = recovered.handle();
+    for (i, served) in probe_grid(|lo, hi| handle.query_served(lo, hi)).iter().enumerate() {
+        assert!(oracle.matches(served), "{label}: probe {i}: {served:?}");
+    }
+    recovered.shutdown();
+    fail_stopped
+}
+
+/// Every crash window of the checkpoint protocol, injected into the
+/// background checkpointer: it dies mid temp-file write (a short write),
+/// its temp-file fence fails (fsyncgate), it dies after the rename but
+/// before the directory fsync, and after the checkpoint is durable but
+/// before the superseded segments are deleted. Each fail-stops the server
+/// exactly once — the next write's read is poisoned, not wrong — and
+/// recovery from the directory is bitwise the oracle's.
+#[test]
+fn checkpointer_crash_windows_fail_stop_and_recover_bitwise() {
+    let _g = serial();
+    let _d = Disarm;
+    for (site, spec) in [
+        ("wal.write.short", "once:error"),
+        ("wal.fsync.err", "once:error"),
+        ("wal.ckpt.renamed", "once:panic"),
+        ("wal.ckpt.durable", "once:panic"),
+    ] {
+        let stalled = stall_first_checkpoint("ckpt-window", 60);
+        failpoint::configure(site, spec).unwrap();
+        eventually(site, || failpoint::fired(site) > 0);
+        assert_eq!(failpoint::fired(site), 1, "{site}: the injected fault fires once");
+        let fail_stopped = finish_checkpoint_window(stalled, site);
+        assert!(fail_stopped, "{site}: a failed checkpoint must fail-stop the server");
+    }
+}
+
+/// A checkpoint still in flight at shutdown completes — shutdown waits
+/// for it and writes no other — so the directory holds it, without the
+/// segment it superseded, and recovery replays no swap.
+#[test]
+fn checkpoint_in_flight_at_shutdown_completes() {
+    let _g = serial();
+    let _d = Disarm;
+    let Stalled { dir, server, writer: _writer, acked, swaps } =
+        stall_first_checkpoint("ckpt-shutdown", 60);
+    let oracle = server.oracle();
+    server.shutdown();
+    assert_eq!(failpoint::hits("wal.ckpt.begin"), 1, "shutdown starts no checkpoint");
+    failpoint::reset();
+    let ckpt = pwal::read_checkpoint(&pwal::checkpoint_path(&dir, "shard-0")).unwrap();
+    assert_eq!(ckpt.rebuilds, swaps, "the in-flight checkpoint landed");
+    let segments: Vec<u64> =
+        pwal::list_segments(&dir, "shard-0").unwrap().iter().map(|s| s.0).collect();
+    assert!(!segments.contains(&0), "superseded segment 0 survived: {segments:?}");
+    let (recovered, report) = recover_frozen(&dir);
+    assert_eq!((report.head_seq, report.replayed_swaps), (acked, 0));
+    let handle = recovered.handle();
+    for (i, served) in probe_grid(|lo, hi| handle.query_served(lo, hi)).iter().enumerate() {
+        assert!(oracle.matches(served), "probe {i}: {served:?}");
+    }
+    recovered.shutdown();
+}
+
+/// Recovery beside a live checkpointer (the "recover while live" pattern
+/// of `tests/serving.rs`): while the stalled checkpoint runs, renames
+/// its file in and deletes the segment it supersedes, a recovery of the
+/// live directory never fails and always reads a consistent state —
+/// every acknowledged update, bitwise the oracle's — before and after
+/// the checkpoint lands.
+#[test]
+fn recovery_beside_a_live_checkpointer_reads_consistent_states() {
+    let _g = serial();
+    let _d = Disarm;
+    let Stalled { dir, server, writer: _writer, acked, .. } =
+        stall_first_checkpoint("ckpt-beside", 60);
+    let oracle = server.oracle();
+    let mut seen = std::collections::BTreeSet::new();
+    let start = std::time::Instant::now();
+    while seen.len() < 2 && start.elapsed() < Duration::from_secs(5) {
+        let (rec, report) =
+            DynamicPolyFitSum::recover(&dir, "shard-0").expect("a live directory always recovers");
+        assert_eq!(report.head_seq, acked, "recovered head");
+        assert_eq!(report.truncated_bytes, 0, "no torn tail beside an idle writer");
+        let want = oracle.index_at(0, report.head_seq, rec.rebuilds() as u64);
+        assert_bitwise_equal(&rec, &want).unwrap();
+        seen.insert(report.checkpoint_seq);
+    }
+    assert!(seen.len() >= 2, "recoveries saw checkpoints {seen:?}: both sides of the rename");
+    server.shutdown();
+}
+
+/// The worker never waits on the checkpointer: with every checkpoint
+/// stalled 100 ms, a writer that reads its own writes (each read waits
+/// for its write's fence and publish) keeps writing through several
+/// stalls, and every read resolves well within one.
+#[test]
+fn reads_resolve_while_the_checkpointer_stalls() {
+    let _g = serial();
+    let _d = Disarm;
+    failpoint::configure("wal.ckpt.begin", "delay(100)").unwrap();
+    let dir = fresh_wal_dir("ckpt-stall");
+    let server = wal_engine(&dir, 10, 48, SyncPolicy::Batch);
+    let writer = server.handle();
+    let (mut slowest, mut first_stall) = (Duration::ZERO, None);
+    let mut observed = Vec::new();
+    for i in 0..100_000usize {
+        let (k, m) = ((i as f64 * 37.0) % 280.0 - 140.0, 0.5 + (i % 7) as f64);
+        if i % 5 == 3 {
+            writer.delete(k, m).unwrap();
+        } else {
+            writer.insert(k, m).unwrap();
+        }
+        let t = std::time::Instant::now();
+        let served = writer.query_served(k - 30.0, k + 30.0);
+        slowest = slowest.max(t.elapsed());
+        assert!(!served.poisoned, "read {i} poisoned");
+        if i % 64 == 0 {
+            observed.push(served);
+        }
+        if failpoint::hits("wal.ckpt.begin") > 0 {
+            let since = *first_stall.get_or_insert_with(std::time::Instant::now);
+            if since.elapsed() > Duration::from_millis(350) {
+                break;
+            }
+        }
+    }
+    let stalls = failpoint::hits("wal.ckpt.begin");
+    failpoint::reset();
+    let oracle = server.oracle();
+    server.shutdown();
+    assert!(slowest < Duration::from_millis(50), "a read waited {slowest:?}");
+    assert!(stalls >= 2, "the writes outlasted a stall ({stalls} checkpoints started)");
+    for (i, served) in observed.iter().enumerate() {
+        assert!(oracle.matches(served), "read {i}: {served:?}");
+    }
+}
+
+/// Deterministic sweep for the CI grep gate: random storage-fault and
+/// crash schedules armed while only the checkpointer does I/O (its first
+/// checkpoint stalled, the worker idle). Each ends bitwise or in a clean
+/// fail-stop; the tally counts schedules whose fault actually fired in
+/// the checkpointer, so the fault model can never silently stop reaching
+/// it.
+#[test]
+fn checkpoint_fault_schedules_are_explored() {
+    let _g = serial();
+    let _d = Disarm;
+    let menu: &[(&str, &[&str])] = &[
+        ("wal.write.err", &["error"]),
+        ("wal.write.short", &["error"]),
+        ("wal.fsync.err", &["error"]),
+        ("wal.ckpt.renamed", &["panic"]),
+        ("wal.ckpt.durable", &["panic"]),
+    ];
+    let mut checkpoint_fault_schedules = 0usize;
+    for seed in 0..12u64 {
+        let schedule = Schedule::random(seed, menu);
+        let stalled = stall_first_checkpoint("ckpt-sweep", 30);
+        schedule.install().unwrap();
+        let dir = stalled.dir.clone();
+        eventually("the stalled checkpoint", || {
+            let done = pwal::read_checkpoint(&pwal::checkpoint_path(&dir, "shard-0"))
+                .is_ok_and(|c| c.rebuilds > 0);
+            done || schedule.0.iter().any(|(site, _)| failpoint::fired(site) > 0)
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        if schedule.0.iter().any(|(site, _)| failpoint::fired(site) > 0) {
+            checkpoint_fault_schedules += 1;
+        }
+        finish_checkpoint_window(stalled, &schedule.to_string());
+    }
+    println!("injected-checkpoint-fault schedules run: {checkpoint_fault_schedules}");
+    assert!(checkpoint_fault_schedules >= 1, "the sweep must inject into the checkpointer");
 }
 
 // ---------------------------------------------------------------------------

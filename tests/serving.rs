@@ -610,6 +610,95 @@ proptest! {
     }
 }
 
+/// Apply one `(insert?, key, measure)` op to every index in `idx`, with
+/// a blocking compaction on all of them every `stride`-th op.
+fn apply_all(idx: &mut [&mut DynamicPolyFitSum], i: usize, stride: usize, op: (bool, f64, f64)) {
+    for x in idx.iter_mut() {
+        let (ins, k, m) = op;
+        if ins {
+            x.insert(k, m);
+        } else {
+            x.delete(k, m);
+        }
+        if i % stride == stride - 1 && x.begin_compaction() {
+            x.compact_now();
+        }
+    }
+}
+
+fn op_at(i: usize) -> (bool, f64, f64) {
+    (i % 5 != 2, (i as f64 * 41.0) % 290.0 - 145.0, 0.5 + (i % 6) as f64)
+}
+
+/// The checkpoint swap switches the journal to a prepared, all-zero
+/// segment whose header waits for the next fence. A crash in that window
+/// recovers the checkpoint — every update and swap the journal holds —
+/// bitwise; resuming from it and crashing again stays bitwise.
+#[test]
+fn crash_between_segment_switch_and_first_fence_recovers_bitwise() {
+    let dir = fresh_wal_dir("switch-window");
+    let mut live = DynamicPolyFitSum::new(base_records(300), 8.0, capped_config(), 10).unwrap();
+    live.set_step_budget(0);
+    live.attach_wal(&dir, "t", SyncPolicy::Batch, 0).unwrap();
+    let mut control = live.clone();
+    let mut i = 0;
+    while live.wal().unwrap().segment() == 0 {
+        apply_all(&mut [&mut live, &mut control], i, 5, op_at(i));
+        i += 1;
+        assert!(i < 500, "no checkpoint swap");
+    }
+    let segment = pwal::segment_path(&dir, "t", live.wal().unwrap().segment());
+    assert!(pwal::scan_wal(&segment).is_err(), "the new segment is still all zeros");
+    let (rec, report) = DynamicPolyFitSum::recover(&dir, "t").unwrap();
+    assert_eq!(report.head_seq, i as u64);
+    assert_eq!(rec.to_bytes(), live.to_bytes(), "recovered state differs");
+    // Crash: the live instance dies unsynced. Resume and keep writing.
+    drop(live);
+    let (mut resumed, _) = DynamicPolyFitSum::resume_wal(&dir, "t", SyncPolicy::Batch).unwrap();
+    resumed.set_step_budget(0);
+    for j in i..i + 40 {
+        apply_all(&mut [&mut resumed, &mut control], j, 5, op_at(j));
+    }
+    resumed.wal_sync().unwrap();
+    let (rec, report) = DynamicPolyFitSum::recover(&dir, "t").unwrap();
+    assert_eq!(report.head_seq, i as u64 + 40);
+    assert_eq!(rec.rebuilds(), control.rebuilds());
+    assert_eq!(rec.to_bytes(), control.to_bytes(), "recovered state differs after resume");
+}
+
+/// A resumed journal keeps the checkpoint cadence where the replay left
+/// it: across five crash-and-resume cycles with writes and swaps between
+/// them, no recovery replays more than `CHECKPOINT_EVERY - 1` swaps, and
+/// each recovered state is bitwise the never-crashed control's.
+#[test]
+fn recovery_replays_at_most_k_minus_one_swaps_across_restarts() {
+    let dir = fresh_wal_dir("cadence");
+    let mut live = DynamicPolyFitSum::new(base_records(300), 8.0, capped_config(), 10).unwrap();
+    live.set_step_budget(0);
+    live.attach_wal(&dir, "t", SyncPolicy::EveryUpdate, 0).unwrap();
+    let mut control = live.clone();
+    let (mut i, mut replayed) = (0, Vec::new());
+    for swaps in [1, 1, 2, 1, 3] {
+        let target = control.rebuilds() + swaps;
+        while control.rebuilds() < target {
+            apply_all(&mut [&mut live, &mut control], i, 4, op_at(i));
+            i += 1;
+        }
+        drop(live);
+        let (resumed, report) =
+            DynamicPolyFitSum::resume_wal(&dir, "t", SyncPolicy::EveryUpdate).unwrap();
+        assert_eq!(report.head_seq, i as u64);
+        assert_eq!(resumed.rebuilds(), control.rebuilds());
+        assert_eq!(resumed.to_bytes(), control.to_bytes(), "restart {}", replayed.len());
+        replayed.push(report.replayed_swaps);
+        live = resumed;
+        live.set_step_budget(0);
+    }
+    let bound = pwal::CHECKPOINT_EVERY - 1;
+    assert!(replayed.iter().all(|&r| r <= bound), "replayed swaps {replayed:?} > {bound}");
+    assert!(bound == 0 || replayed.iter().any(|&r| r > 0), "no restart replayed a swap");
+}
+
 /// `-0.0` and `+0.0` are one key; the journal normalizes before writing
 /// (and the decoder re-normalizes defensively), so a mixed ±0.0 stream
 /// folds bitwise-identically on both sides of a recovery boundary — even
