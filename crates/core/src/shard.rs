@@ -6,14 +6,16 @@
 //! caller's thread from the published snapshot of every shard the range
 //! touches, under one epoch pin, and returns an already-completed
 //! [`ShardTicket`]. Only writes (and merge handoffs) ride the per-shard
-//! queues. A worker applies them a window at a time and publishes a new
-//! snapshot only after one fence covers every write it holds (group
-//! commit), so every state a reader can observe is durable. It publishes
-//! at the end of the window that reaches a write a handle waits on,
-//! before a compaction step, after a park interval without writes, and
-//! at least every 10 ms under sustained load; in between, windows share
-//! one fence. Workers also step compaction in idle gaps and fail-stop on
-//! worker death. One shard (the default) is a single-writer serving loop;
+//! queues. A worker applies them a window at a time — a window ends
+//! when a pop empties the queue; `deadline` only bounds one while writes
+//! keep arriving — and publishes a new snapshot only after one fence
+//! covers every write it holds (group commit), so every state a reader
+//! can observe is durable. It publishes at the end of the window that
+//! reaches a write a handle waits on, before a compaction step, after a
+//! park interval without writes, and at least every 10 ms under
+//! sustained load; windows in between share one fence. Workers also
+//! step compaction in idle gaps and fail-stop on worker death. One
+//! shard (the default) is a single-writer serving loop;
 //! more shards partition the key space. Immutable indexes need none of
 //! this: every index is `Send + Sync`, so client threads call
 //! [`crate::traits::AggregateIndex::query`] on a shared
@@ -116,11 +118,11 @@ pub struct ShardConfig {
     /// the number of distinct records, since every shard needs at least
     /// one).
     pub shards: usize,
-    /// Per-shard write window (group commit), measured from the first
-    /// write a worker pops: the window's writes are applied together and
-    /// share one fence and one snapshot publish. Reads never wait on it
-    /// unless they follow the same handle's write to the shard. Clamped
-    /// to at most 100 ms.
+    /// Longest a write window stays open while writes keep arriving,
+    /// from the first write a worker pops; a window ends as soon as a
+    /// pop leaves the queue empty. A window is one journaled batch, and
+    /// the windows between two publishes share one fence (group
+    /// commit). Clamped to at most 100 ms.
     pub deadline: Duration,
     /// Largest number of queued writes one window applies (`0` is
     /// clamped to 1).
@@ -1403,8 +1405,8 @@ struct Worker {
     /// Control-visible state changed since the last publication.
     dirty: bool,
     /// Journal appends not yet fenced to disk. The group-commit fsync
-    /// runs right before a publish, so a window's writes share one fence
-    /// and no reader ever sees an unfenced update.
+    /// runs right before a publish, so the windows since the last one
+    /// share a fence and no reader ever sees an unfenced update.
     wal_dirty: bool,
 }
 
@@ -1485,14 +1487,15 @@ impl Worker {
         }
     }
 
-    /// Pop up to `max_batch` writes, holding the group-commit window
-    /// open until its deadline (yielding, not spinning — on one hardware
-    /// thread the submitters need the core to fill the window).
+    /// Pop up to `max_batch` writes into one window, which ends once a
+    /// pop leaves the queue empty (no write is held for a timer), at
+    /// `max_batch`, on close, or at the deadline while writes keep
+    /// arriving. [`Self::commit`] decides which windows share a fence.
     fn collect_window(&mut self) -> Vec<Req> {
         let cfg = &self.shared.cfg;
         let queue = &self.rt.queue;
-        // Failpoint: this window ignores `max_batch` and collects until
-        // its deadline. Answers must not depend on batch geometry.
+        // Failpoint: this window ignores `max_batch` and drains the
+        // queue. Answers must not depend on batch geometry.
         let max_batch = if crate::failpoint::triggered("shard.batch.oversize") {
             usize::MAX
         } else {
@@ -1501,20 +1504,15 @@ impl Worker {
         let mut out = Vec::new();
         let opened = Instant::now();
         loop {
-            if out.len() < max_batch {
-                self.popped += queue.pop_many(max_batch - out.len(), &mut out) as u64;
-            }
+            self.popped += queue.pop_many(max_batch - out.len(), &mut out) as u64;
             if out.len() >= max_batch
+                || queue.len.load(SeqCst) == 0
                 || queue.closed.load(SeqCst)
                 || opened.elapsed() >= cfg.deadline
             {
-                break;
-            }
-            if queue.len.load(SeqCst) == 0 {
-                thread::yield_now();
+                return out;
             }
         }
-        out
     }
 
     /// Apply a window of writes (the caller fences and publishes them);
@@ -2216,8 +2214,10 @@ mod tests {
 
     #[test]
     fn a_windows_writes_share_one_fence() {
-        // One shard, generous window: writes submitted back-to-back land
-        // in one window, so one fence and one publish cover them all.
+        // One shard: writes submitted back-to-back land in one window or
+        // several, but nothing publishes them before the read asks, so
+        // one fence and one publish cover them all however many windows
+        // carry them.
         let dir = wal_dir("one-fence");
         let server = ShardedServer::start_with_wal(
             records(1000),
@@ -2285,6 +2285,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn a_read_of_a_lone_write_waits_for_its_fence_not_the_deadline() {
+        // A window ends when a pop leaves the queue empty, so a read that
+        // follows its handle's only queued write waits for one fence and
+        // publish, not for the write's window to run out its deadline.
+        let dir = wal_dir("lone-write");
+        let deadline = MAX_DEADLINE;
+        let server = ShardedServer::start_with_wal(
+            records(1000),
+            10.0,
+            capped(),
+            ShardConfig { deadline, ..Default::default() },
+            &dir,
+            SyncPolicy::Batch,
+        )
+        .unwrap();
+        let handle = server.handle();
+        for i in 0..5u64 {
+            let key = i as f64 * 50.0 + 0.1;
+            handle.insert(key, 1.0).unwrap();
+            let t0 = Instant::now();
+            let served = handle.query_served(key - 1.0, key + 1.0);
+            let waited = t0.elapsed();
+            assert!(!served.poisoned, "read {i}");
+            assert_eq!(served.shards[0].updates_applied, i + 1, "read {i} reflects its write");
+            assert!(
+                waited < deadline / 2,
+                "read {i} waited {waited:?} under a {deadline:?} deadline"
+            );
+        }
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Writes submitted by one handle, grouped by the shard position
     /// that owns their key under fixed `bounds`.
     fn routed_counts(keys: &[f64], bounds: &[f64]) -> Vec<u64> {
@@ -2298,8 +2332,9 @@ mod tests {
     #[test]
     fn reads_see_the_handles_own_writes() {
         for shards in [1, 2] {
-            // A 2 ms window keeps writes unpublished long enough for the
-            // writer's next read to be deferred behind them.
+            // A write stays unpublished until a read asks for it (short
+            // of a compaction step, an idle park or the lag bound), so
+            // the writer's next read is usually deferred behind it.
             let cfg = ShardConfig {
                 shards,
                 deadline: Duration::from_millis(2),
