@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use polyfit_exact::dataset::{dedup_sum, sort_records, Record};
-use polyfit_lp::FitBackend;
+use polyfit_lp::{FitBackend, WithinScratch};
 use polyfit_poly::{Polynomial, ShiftedPolynomial};
 
 use crate::build::{segment_ranges, BuildOptions};
@@ -118,6 +118,8 @@ struct PendingRebuild {
     next_item: usize,
     /// Next uncovered point within the current `Refit` item.
     refit_pos: usize,
+    /// Buffers the refit's feasibility probes reuse from step to step.
+    probe_scratch: WithinScratch,
     out: Vec<Segment>,
     out_stats: Vec<SegmentStats>,
     reused: usize,
@@ -323,12 +325,29 @@ impl DynamicPolyFitSum {
     ) -> Result<Self, PolyFitError> {
         validate_records(&records)?;
         sort_records(&mut records);
-        let records = dedup_sum(records);
-        let base = PolyFitSum::build_sorted(&records, delta, config, opts)?;
+        Self::from_sorted(dedup_sum(records), BTreeMap::new(), delta, config, buffer_limit, opts)
+    }
+
+    /// An index over `records`, which are already sorted, deduplicated
+    /// and finite, with `buffer` pending: the base is built by
+    /// [`PolyFitSum::build_sorted`] (none when `records` is empty),
+    /// without sorting or copying the records again.
+    pub(crate) fn from_sorted(
+        records: Vec<Record>,
+        buffer: BTreeMap<u64, (f64, f64)>,
+        delta: f64,
+        config: PolyFitConfig,
+        buffer_limit: usize,
+        opts: &BuildOptions,
+    ) -> Result<Self, PolyFitError> {
+        let base = match records.is_empty() {
+            true => None,
+            false => Some(Arc::new(PolyFitSum::build_sorted(&records, delta, config, opts)?)),
+        };
         Ok(DynamicPolyFitSum {
-            base: Some(Arc::new(base)),
+            base,
             base_records: Arc::new(records),
-            buffer: BTreeMap::new(),
+            buffer,
             buffer_limit: buffer_limit.max(1),
             delta,
             config,
@@ -575,6 +594,7 @@ impl DynamicPolyFitSum {
                         ErrorMetric::DataPoint,
                         pos,
                         end + 1,
+                        &mut p.probe_scratch,
                     );
                     let next_pos = spec.end + 1;
                     work += spec.end - spec.start + 1;
@@ -812,6 +832,7 @@ impl DynamicPolyFitSum {
             plan,
             next_item: 0,
             refit_pos: 0,
+            probe_scratch: WithinScratch::default(),
             out: Vec::new(),
             out_stats: Vec::new(),
             reused: 0,
@@ -1181,36 +1202,26 @@ impl DynamicPolyFitSum {
                 right_buffer.insert(bits, entry);
             }
         }
-        let child = |records: Vec<Record>, buffer: BTreeMap<u64, (f64, f64)>| {
-            let base = match records.is_empty() {
-                true => None,
-                false => Some(Arc::new(PolyFitSum::build_with(
-                    records.clone(),
-                    self.delta,
-                    self.config,
-                    &self.build_opts,
-                )?)),
-            };
-            Ok(DynamicPolyFitSum {
-                base,
-                base_records: Arc::new(records),
-                buffer,
-                buffer_limit: self.buffer_limit,
-                delta: self.delta,
-                config: self.config,
-                build_opts: self.build_opts,
-                rebuilds: 0,
-                pending: None,
-                step_budget: self.step_budget,
-                generation: 0,
-                last_compaction: None,
-                reused_segments_total: 0,
-                refit_segments_total: 0,
-                journal: None,
-                apply_scratch: Vec::new(),
-            })
-        };
-        Ok((child(left_records, left_buffer)?, child(right_records, right_buffer)?))
+        Ok((self.child(left_records, left_buffer)?, self.child(right_records, right_buffer)?))
+    }
+
+    /// A split or merge child over the sorted run `records` with `buffer`
+    /// pending: this index's settings, fresh counters.
+    fn child(
+        &self,
+        records: Vec<Record>,
+        buffer: BTreeMap<u64, (f64, f64)>,
+    ) -> Result<Self, PolyFitError> {
+        let mut child = Self::from_sorted(
+            records,
+            buffer,
+            self.delta,
+            self.config,
+            self.buffer_limit,
+            &self.build_opts,
+        )?;
+        child.step_budget = self.step_budget;
+        Ok(child)
     }
 
     /// Merge with the adjacent index on the right (every key in `right`
@@ -1247,33 +1258,7 @@ impl DynamicPolyFitSum {
         if let (Some(hi), Some(lo)) = (left_hi.max(), right_lo.min()) {
             assert!(hi < lo, "merge_with requires disjoint ordered key ranges");
         }
-        let base = match records.is_empty() {
-            true => None,
-            false => Some(Arc::new(PolyFitSum::build_with(
-                records.clone(),
-                self.delta,
-                self.config,
-                &self.build_opts,
-            )?)),
-        };
-        Ok(DynamicPolyFitSum {
-            base,
-            base_records: Arc::new(records),
-            buffer,
-            buffer_limit: self.buffer_limit,
-            delta: self.delta,
-            config: self.config,
-            build_opts: self.build_opts,
-            rebuilds: 0,
-            pending: None,
-            step_budget: self.step_budget,
-            generation: 0,
-            last_compaction: None,
-            reused_segments_total: 0,
-            refit_segments_total: 0,
-            journal: None,
-            apply_scratch: Vec::new(),
-        })
+        self.child(records, buffer)
     }
 
     /// Freeze the current control-visible state into an immutable,
@@ -1295,7 +1280,8 @@ impl DynamicPolyFitSum {
     // ------------------------------------------------------------------
 
     /// Attach a write-ahead log: checkpoint the current state into
-    /// `<dir>/<name>.ckpt` at update cursor `seq` (synchronously), start
+    /// `<dir>/<name>.ckpt` at update cursor `seq` (synchronously,
+    /// streaming its PFD2 bytes as the checkpointer does), start
     /// a fresh log in segment `<dir>/<name>.wal`, and from here on journal
     /// every insert/delete before it folds into the in-memory state.
     /// Compaction swaps are journaled, and every
@@ -1317,8 +1303,8 @@ impl DynamicPolyFitSum {
         seq: u64,
     ) -> Result<(), WalError> {
         assert!(self.pending.is_none(), "attach_wal during a pending rebuild");
-        let bytes = self.to_bytes();
-        let journal = Journal::create(dir, name, policy, &bytes, seq, self.rebuilds as u64)?;
+        let journal =
+            Journal::create_frozen(dir, name, policy, &self.freeze(), seq, self.rebuilds as u64)?;
         self.journal = Some(journal);
         Ok(())
     }

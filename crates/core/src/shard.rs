@@ -74,7 +74,7 @@
 //! carries a `±2kδ` certificate.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
@@ -1080,9 +1080,15 @@ impl ShardedServer {
             if cfg.record_history {
                 history.initial.push((id, chunk.clone()));
             }
-            let mut index =
-                DynamicPolyFitSum::with_options(chunk, delta, config, cfg.buffer_limit, &cfg.build)
-                    .map_err(WalError::Build)?;
+            let mut index = DynamicPolyFitSum::from_sorted(
+                chunk,
+                BTreeMap::new(),
+                delta,
+                config,
+                cfg.buffer_limit,
+                &cfg.build,
+            )
+            .map_err(WalError::Build)?;
             index.set_step_budget(0);
             if let (Some((dir, policy)), Some(ck)) = (&wal, &checkpointer) {
                 index.attach_wal(dir, &shard_wal_name(id), *policy, 0)?;

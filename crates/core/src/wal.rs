@@ -655,6 +655,20 @@ fn write_checkpoint(
     fsync_parent(&path)
 }
 
+/// [`write_checkpoint`] of `state`: its PFD2 bytes stream into the file,
+/// and only the base block is encoded up front (its length precedes it).
+fn write_frozen_checkpoint(
+    dir: &Path,
+    name: &str,
+    updates_applied: u64,
+    rebuilds: u64,
+    state: &Frozen,
+) -> io::Result<()> {
+    let base = state.base_bytes();
+    let index_len = state.encoded_len(&base) as u64;
+    write_checkpoint(dir, name, updates_applied, rebuilds, index_len, |w| state.encode(&base, w))
+}
+
 /// A decoded checkpoint: the replay cursor and the serialized index.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
@@ -860,13 +874,44 @@ impl Journal {
         seq: u64,
         rebuilds: u64,
     ) -> Result<Journal, WalError> {
+        Self::create_after(dir, name, policy, seq, rebuilds, || {
+            write_checkpoint(dir, name, seq, rebuilds, index.len() as u64, |w| w.write_all(index))
+        })
+    }
+
+    /// [`Self::create`] checkpointing `state`, whose PFD2 bytes stream
+    /// into the checkpoint file as the checkpointer writes them, instead
+    /// of being encoded into an index-sized buffer first.
+    pub(crate) fn create_frozen(
+        dir: &Path,
+        name: &str,
+        policy: SyncPolicy,
+        state: &Frozen,
+        seq: u64,
+        rebuilds: u64,
+    ) -> Result<Journal, WalError> {
+        Self::create_after(dir, name, policy, seq, rebuilds, || {
+            write_frozen_checkpoint(dir, name, seq, rebuilds, state)
+        })
+    }
+
+    /// The journal creation both constructors share, with `checkpoint`
+    /// writing the checkpoint file.
+    fn create_after(
+        dir: &Path,
+        name: &str,
+        policy: SyncPolicy,
+        seq: u64,
+        rebuilds: u64,
+        checkpoint: impl FnOnce() -> io::Result<()>,
+    ) -> Result<Journal, WalError> {
         fs::create_dir_all(dir)?;
         for (n, path) in list_segments(dir, name)? {
             if n > 0 {
                 fs::remove_file(path)?;
             }
         }
-        write_checkpoint(dir, name, seq, rebuilds, index.len() as u64, |w| w.write_all(index))?;
+        checkpoint()?;
         let (file, header_len) = write_fresh_log(&log_path(dir, name), seq, rebuilds)?;
         let mut j = Journal::open(dir, name, policy, file, 0, seq);
         j.pos = header_len;
@@ -1302,9 +1347,7 @@ fn checkpoint_at(
     // Failpoint: the checkpoint starts (a delay stalls the checkpointer,
     // a panic kills it before it writes).
     crate::failpoint::hit("wal.ckpt.begin");
-    let base = state.base_bytes();
-    let index_len = state.encoded_len(&base) as u64;
-    write_checkpoint(dir, name, updates_applied, rebuilds, index_len, |w| state.encode(&base, w))?;
+    write_frozen_checkpoint(dir, name, updates_applied, rebuilds, state)?;
     // Failpoint: the checkpoint is durable; the segments it supersedes
     // are not yet deleted.
     crate::failpoint::hit("wal.ckpt.durable");
@@ -2144,5 +2187,30 @@ mod tests {
         assert_eq!(layout, initial);
         assert!(rebalances.is_empty());
         assert!(truncated > 0);
+    }
+
+    #[test]
+    fn attach_streams_the_checkpoint_to_bytes_would_write() {
+        // `attach_wal` streams the PFD2 bytes into the checkpoint the way
+        // the checkpointer does; the file must equal the one an encoded
+        // `to_bytes()` makes, across several checkpoint chunks and with
+        // buffered deltas in the state.
+        use polyfit_exact::dataset::Record;
+        let records = (0..12_000).map(|i| Record::new(i as f64 * 0.5, 1.0 + (i % 7) as f64));
+        let cfg = crate::config::PolyFitConfig::default();
+        let mut idx =
+            crate::dynamic::DynamicPolyFitSum::new(records.collect(), 4.0, cfg, 1_000).unwrap();
+        idx.set_step_budget(0);
+        for i in 0..40 {
+            idx.insert(0.25 + i as f64, 2.0);
+        }
+        let bytes = idx.to_bytes();
+        assert!(bytes.len() > 2 * CHECKPOINT_CHUNK);
+        let (streamed, encoded) = (tmp_dir("attach-streamed"), tmp_dir("attach-encoded"));
+        idx.attach_wal(&streamed, "t", SyncPolicy::Batch, 3).unwrap();
+        Journal::create(&encoded, "t", SyncPolicy::Batch, &bytes, 3, 0).unwrap();
+        let file = |dir: &Path| fs::read(checkpoint_path(dir, "t")).unwrap();
+        assert!(file(&streamed) == file(&encoded), "streamed checkpoint differs");
+        assert_eq!(read_checkpoint(&checkpoint_path(&streamed, "t")).unwrap().index, bytes);
     }
 }

@@ -70,65 +70,68 @@ impl Matrix {
 pub fn solve_linear_system(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
     assert_eq!(a.rows(), a.cols(), "system matrix must be square");
     assert_eq!(a.rows(), b.len(), "rhs length must match matrix");
-    let n = a.rows();
-    if n == 0 {
-        return Some(Vec::new());
-    }
-    // Augmented working copy.
-    let mut m = a.clone();
-    let mut rhs = b.to_vec();
+    let mut m = a.data.clone();
+    let mut x = b.to_vec();
+    solve_in_place(&mut m, &mut x).then_some(x)
+}
+
+/// [`solve_linear_system`] without allocating: `a` holds the `n × n`
+/// matrix row-major (`n = x.len()`) and is overwritten by the
+/// elimination; `x` holds `b` on entry and the solution on success.
+/// Returns `false` if the matrix is (numerically) singular. Performs the
+/// same floating-point operations in the same order as
+/// [`solve_linear_system`], so both return the same bits.
+pub(crate) fn solve_in_place(a: &mut [f64], x: &mut [f64]) -> bool {
+    let n = x.len();
+    debug_assert_eq!(a.len(), n * n, "system matrix must be square");
     for col in 0..n {
         // Partial pivot: largest magnitude in the column at/below `col`.
         let mut pivot = col;
-        let mut best = m.get(col, col).abs();
+        let mut best = a[col * n + col].abs();
         for r in col + 1..n {
-            let v = m.get(r, col).abs();
+            let v = a[r * n + col].abs();
             if v > best {
                 best = v;
                 pivot = r;
             }
         }
         if best < f64::MIN_POSITIVE * 1e10 || !best.is_finite() {
-            return None;
+            return false;
         }
         if pivot != col {
             for c in 0..n {
-                let tmp = m.get(col, c);
-                m.set(col, c, m.get(pivot, c));
-                m.set(pivot, c, tmp);
+                a.swap(col * n + c, pivot * n + c);
             }
-            rhs.swap(col, pivot);
+            x.swap(col, pivot);
         }
-        let diag = m.get(col, col);
+        let diag = a[col * n + col];
         for r in col + 1..n {
-            let factor = m.get(r, col) / diag;
+            let factor = a[r * n + col] / diag;
             if factor == 0.0 {
                 continue;
             }
             for c in col..n {
-                let v = m.get(r, c) - factor * m.get(col, c);
-                m.set(r, c, v);
+                a[r * n + c] -= factor * a[col * n + c];
             }
-            rhs[r] -= factor * rhs[col];
+            x[r] -= factor * x[col];
         }
     }
-    // Back substitution.
-    let mut x = vec![0.0; n];
+    // Back substitution; `x[c]` already holds the solution for `c > r`.
     for r in (0..n).rev() {
-        let mut acc = rhs[r];
+        let mut acc = x[r];
         for c in r + 1..n {
-            acc -= m.get(r, c) * x[c];
+            acc -= a[r * n + c] * x[c];
         }
-        let diag = m.get(r, r);
+        let diag = a[r * n + r];
         if diag == 0.0 || !diag.is_finite() {
-            return None;
+            return false;
         }
         x[r] = acc / diag;
         if !x[r].is_finite() {
-            return None;
+            return false;
         }
     }
-    Some(x)
+    true
 }
 
 /// Least-squares solution of the (possibly overdetermined) system

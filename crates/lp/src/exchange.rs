@@ -21,14 +21,16 @@
 //!
 //! All computation happens in the normalized variable `t ∈ [−1, 1]`;
 //! callers provide raw `(key, value)` points and receive a
-//! [`ShiftedPolynomial`](polyfit_poly::ShiftedPolynomial)-compatible
+//! [`ShiftedPolynomial`]-compatible
 //! coefficient vector via [`crate::fit1d`].
 
 // Index-based loops below walk several arrays in lockstep (tableau rows,
 // activation/delta buffers); iterator zips would obscure the math.
 #![allow(clippy::needless_range_loop)]
 
-use crate::dense::{solve_linear_system, Matrix};
+use polyfit_poly::ShiftedPolynomial;
+
+use crate::dense::{solve_in_place, solve_linear_system, Matrix};
 
 /// Basis used for the reference linear systems.
 ///
@@ -126,19 +128,8 @@ pub fn minimax_exchange_in_basis(ts: &[f64], ys: &[f64], deg: usize, basis: Basi
         let coeffs = interpolate(ts, ys, deg);
         return ExchangeFit { coeffs, error: 0.0, iterations: 0 };
     }
-    // Initial reference: spread indices evenly across the range (a discrete
-    // stand-in for Chebyshev nodes).
-    let mut reference: Vec<usize> = (0..m).map(|k| (k * (l - 1)) / (m - 1)).collect();
-    reference.dedup();
-    // Ensure m distinct indices even for tiny l (l ≥ m here).
-    let mut fill = 0usize;
-    while reference.len() < m {
-        if !reference.contains(&fill) {
-            reference.push(fill);
-        }
-        fill += 1;
-    }
-    reference.sort_unstable();
+    let mut reference = Vec::with_capacity(m);
+    top_up_reference(&mut reference, l, m);
 
     let mut best: Option<ExchangeFit> = None;
     for iter in 0..MAX_ITERS {
@@ -171,6 +162,135 @@ pub fn minimax_exchange_in_basis(ts: &[f64], ys: &[f64], deg: usize, basis: Basi
         exchange_point(ts, ys, &fit.coeffs, &mut reference, worst_idx, basis);
     }
     finalize(best.expect("at least one exchange iteration ran"), basis)
+}
+
+/// Top the distinct `reference` (at most `m` entries) up to `m` of the
+/// `l ≥ m` point indices from the `m` distinct ones spread evenly across
+/// the range (a discrete stand-in for Chebyshev nodes), right end first,
+/// and sort it. An empty reference becomes the evenly spread one.
+fn top_up_reference(reference: &mut Vec<usize>, l: usize, m: usize) {
+    for k in (0..m).rev() {
+        let i = (k * (l - 1)) / (m - 1);
+        if reference.len() < m && !reference.contains(&i) {
+            reference.push(i);
+        }
+    }
+    debug_assert_eq!(reference.len(), m, "the spread alone holds m distinct indices");
+    reference.sort_unstable();
+}
+
+/// Largest reference [`minimax_within`] solves (on the stack): degree 8,
+/// the highest PolyFit builds with.
+const WITHIN_MAX_REF: usize = 10;
+
+/// Reusable state of [`minimax_within`]: the normalised keys of the last
+/// probe and the reference its exchange ended on, which warm-starts the
+/// next probe.
+#[derive(Clone, Debug, Default)]
+pub struct WithinScratch {
+    ts: Vec<f64>,
+    reference: Vec<usize>,
+}
+
+impl WithinScratch {
+    /// Start the next probe from the evenly spread reference. Reference
+    /// indices count from the first point, so call this whenever the
+    /// probed point sets stop sharing it (any reference is sound; a stale
+    /// one only costs iterations).
+    pub fn forget_reference(&mut self) {
+        self.reference.clear();
+    }
+}
+
+/// Decide whether the minimax error `E*` of fitting `values[i] ≈ P(keys[i])`
+/// with a degree-≤`deg` polynomial is at most `delta`, stopping the
+/// exchange as soon as one of its iterates settles the question.
+///
+/// Every iterate brackets `E*`. Its levelled error `|h|` is a lower bound
+/// (de la Vallée Poussin: `|h|` is the optimum over the `deg + 2`
+/// reference points alone), and its largest residual `worst` over all
+/// points is an upper bound. With `margin = 1e-6·delta + 64·ε·max|value|`
+/// (rounding in `h`, in `worst` and in the residuals a full fit scans)
+/// this returns:
+///
+/// * `Some(false)` once `|h| > delta + margin`;
+/// * `Some(true)` once `worst + margin + ε ≤ delta`;
+/// * `None` when the exchange converges or stalls inside that band, meets
+///   a singular reference system, or reaches the iteration cap.
+///
+/// A `Some(b)` is what [`fit_minimax`](crate::fit_minimax) with
+/// [`FitBackend::Exchange`](crate::FitBackend::Exchange) would say
+/// (`error <= delta`) whenever that fit converges: its error is the
+/// largest residual of some polynomial, so at least `E*`, and at
+/// convergence at most `E*·(1 + 1e-9) + ε`. Fewer than `deg + 2` points
+/// are interpolated there with error 0, so they return `Some(0.0 <= delta)`.
+///
+/// Keys are normalised exactly as `fit_minimax` does, into `scratch`, and
+/// the search starts from the reference the previous call ended on:
+/// indices past `keys.len()` are dropped and evenly spread ones top it up.
+/// Nothing is allocated once `scratch` has grown to the longest probe.
+///
+/// # Panics
+/// Panics if `keys.len() != values.len()` or no point is supplied.
+pub fn minimax_within(
+    keys: &[f64],
+    values: &[f64],
+    deg: usize,
+    delta: f64,
+    scratch: &mut WithinScratch,
+) -> Option<bool> {
+    assert_eq!(keys.len(), values.len(), "keys/values length mismatch");
+    assert!(!keys.is_empty(), "need at least one point");
+    let l = keys.len();
+    let m = deg + 2;
+    if l < m {
+        return Some(0.0 <= delta);
+    }
+    if m > WITHIN_MAX_REF {
+        return None;
+    }
+    let WithinScratch { ts, reference } = scratch;
+    let (center, scale) = ShiftedPolynomial::normalizer(keys[0], keys[l - 1]);
+    ts.clear();
+    ts.extend(keys.iter().map(|&k| (k - center) / scale));
+    let y_max = values.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
+    let margin = 1e-6 * delta + 64.0 * f64::EPSILON * y_max;
+
+    // Warm start: keep the previous reference's points that still exist.
+    reference.retain(|&i| i < l);
+    reference.truncate(m);
+    top_up_reference(reference, l, m);
+
+    for _ in 0..MAX_ITERS {
+        let mut a = [0.0; WITHIN_MAX_REF * WITHIN_MAX_REF];
+        let mut sol = [0.0; WITHIN_MAX_REF];
+        for (k, &idx) in reference.iter().enumerate() {
+            let mut pw = 1.0;
+            for j in 0..=deg {
+                a[k * m + j] = pw;
+                pw *= ts[idx];
+            }
+            a[k * m + deg + 1] = if k % 2 == 0 { 1.0 } else { -1.0 };
+            sol[k] = values[idx];
+        }
+        if !solve_in_place(&mut a[..m * m], &mut sol[..m]) {
+            return None;
+        }
+        let h = sol[deg + 1].abs();
+        if h > delta + margin {
+            return Some(false);
+        }
+        let coeffs = &sol[..=deg];
+        let (worst_idx, worst) = scan_max_residual(ts, values, coeffs, Basis::Monomial);
+        if worst + margin + f64::EPSILON <= delta {
+            return Some(true);
+        }
+        if worst <= h * (1.0 + REL_TOL) + f64::EPSILON || reference.contains(&worst_idx) {
+            return None;
+        }
+        exchange_point(ts, values, coeffs, reference, worst_idx, Basis::Monomial);
+    }
+    None
 }
 
 /// Convert a fit's coefficients to the monomial basis if needed.

@@ -13,7 +13,9 @@
 //!   *same* minimax problem through a sequence of `(deg+2)`-point linear
 //!   systems. This is the default backend: it returns the identical optimal
 //!   error (to rounding) at `O(iterations · ℓ)` cost, which is what makes
-//!   greedy segmentation tractable on million-record datasets.
+//!   greedy segmentation tractable on million-record datasets. Its
+//!   decision form, [`minimax_within`], answers "is the optimum at most
+//!   δ?" at the first iterate whose bounds settle it.
 //! * [`fit1d`] / [`fit2d`] — fitting front-ends returning conditioned
 //!   ([`polyfit_poly::ShiftedPolynomial`] / [`polyfit_poly::BivariatePoly`])
 //!   fits with their certified minimax error.
@@ -26,7 +28,9 @@ pub mod fit1d;
 pub mod fit2d;
 pub mod simplex;
 
-pub use exchange::{minimax_exchange, minimax_exchange_in_basis, Basis};
+pub use exchange::{
+    minimax_exchange, minimax_exchange_in_basis, minimax_within, Basis, WithinScratch,
+};
 pub use fit1d::{fit_interpolating, fit_minimax, FitBackend, MinimaxFit};
 pub use fit2d::{fit_minimax_2d, Fit2dBackend, MinimaxFit2d};
 pub use simplex::{LpOutcome, LpProblem, Relation};

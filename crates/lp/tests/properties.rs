@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use polyfit_lp::{
-    fit_minimax, fit_minimax_2d, minimax_exchange_in_basis, Basis, Fit2dBackend, FitBackend,
-    LpOutcome, LpProblem, Relation,
+    fit_minimax, fit_minimax_2d, minimax_exchange_in_basis, minimax_within, Basis, Fit2dBackend,
+    FitBackend, LpOutcome, LpProblem, Relation, WithinScratch,
 };
 
 fn keyed_values(max_len: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
@@ -116,5 +116,48 @@ proptest! {
         let lp = fit_minimax_2d(&us, &vs, &ws, rect, deg, Fit2dBackend::Simplex);
         prop_assert!(lp.error <= ls.error * (1.0 + 1e-6) + 1e-9,
             "lp {} > ls {}", lp.error, ls.error);
+    }
+
+    /// `minimax_within` decides as the full exchange fit does: every
+    /// `Some(b)` equals `fit_minimax(..).error <= δ`, for δ far from the
+    /// optimum (where it must decide) and for δ within 1e-7 of it, from
+    /// a cold start and from the reference another point set left
+    /// behind. Values sit on offsets up to 1e12, where rounding in the
+    /// residuals is far above 1e-7·δ.
+    #[test]
+    fn within_decides_as_the_full_fit(
+        (keys, values) in keyed_values(60),
+        deg in 1usize..9,
+        offset_pick in 0usize..3,
+        (warm_keys, warm_values) in keyed_values(60),
+        warm_delta in 0.01f64..100.0,
+    ) {
+        let offset = [0.0, 1e6, 1e12][offset_pick];
+        let values: Vec<f64> = values.iter().map(|v| v + offset).collect();
+        let full = fit_minimax(&keys, &values, deg, FitBackend::Exchange).error;
+        let far = [0.5 * full, 2.0 * full];
+        let near = [
+            full * (1.0 - 1e-7),
+            full,
+            full * (1.0 + 1e-7),
+            full - 1e-7,
+            full + 1e-7,
+        ];
+        let mut warm = WithinScratch::default();
+        for delta in far.into_iter().chain(near).filter(|&d| d > 0.0) {
+            let cold = minimax_within(&keys, &values, deg, delta, &mut WithinScratch::default());
+            minimax_within(&warm_keys, &warm_values, deg, warm_delta, &mut warm);
+            let warmed = minimax_within(&keys, &values, deg, delta, &mut warm);
+            for (start, got) in [("cold", cold), ("warm", warmed)] {
+                if let Some(b) = got {
+                    prop_assert_eq!(b, full <= delta, "{} start, deg {}, delta {} vs error {}",
+                        start, deg, delta, full);
+                } else {
+                    prop_assert!(!far.contains(&delta) || full <= 1e-12 * offset.max(1.0),
+                        "{} start left delta {} undecided (error {}, deg {})",
+                        start, delta, full, deg);
+                }
+            }
+        }
     }
 }
