@@ -1,6 +1,7 @@
 //! Parallel-construction benchmark: build-time scaling of the shared
 //! build pipeline (`polyfit::build`) across thread counts, with the
 //! δ-guarantee re-verified against exact structures after every build.
+//! One untimed warm-up build runs before the timed sweep.
 //!
 //! Emits `results/BENCH_construction.json` — the machine-readable record
 //! tracked across PRs — plus the usual aligned table and CSV/JSON pair.
@@ -44,6 +45,16 @@ fn main() {
         &format!("Parallel construction — PolyFitSum over {} keys (delta = {delta})", keys.len()),
         &["threads", "build (s)", "segments", "worst query err", "within 2δ", "speedup vs 1T"],
     );
+
+    // One untimed build first, so the first timed row does not carry the
+    // process's cold start (page faults, allocator growth, cold caches).
+    PolyFitSum::build_with(
+        records.clone(),
+        delta,
+        PolyFitConfig::default(),
+        &BuildOptions::default(),
+    )
+    .expect("warm-up build");
 
     let mut rows: Vec<BuildRow> = Vec::new();
     for threads in THREAD_COUNTS {

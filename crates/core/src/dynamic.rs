@@ -52,7 +52,7 @@ use crate::function::{cumulative_function_sorted, validate_records, TargetFuncti
 use crate::index_sum::PolyFitSum;
 use crate::segment::Segment;
 use crate::segmentation::{greedy_next_segment, ErrorMetric, SegmentSpec};
-use crate::serialize::{DecodeError, Reader, WalRecord};
+use crate::serialize::{finite, DecodeError, Reader, WalRecord};
 use crate::stats::SegmentStats;
 use crate::wal::{
     checkpoint_path, plan_replay, segment_path, truncate_torn_tail, Checkpointer, Journal,
@@ -1500,20 +1500,38 @@ impl Frozen {
     }
 }
 
-/// A `u32` count, then `n` `(f64, f64)` pairs.
+/// A `u32` count, then `n` `(f64, f64)` pairs, packed into a fixed chunk
+/// so each `write_all` carries 256 of them, not one.
 fn write_pairs(
     w: &mut impl io::Write,
     n: usize,
     pairs: impl Iterator<Item = (f64, f64)>,
 ) -> io::Result<()> {
     w.write_all(&(n as u32).to_le_bytes())?;
+    let mut chunk = [0u8; 16 * 256];
+    let mut filled = 0;
     for (a, b) in pairs {
-        let mut pair = [0u8; 16];
-        pair[..8].copy_from_slice(&a.to_le_bytes());
-        pair[8..].copy_from_slice(&b.to_le_bytes());
-        w.write_all(&pair)?;
+        chunk[filled..filled + 8].copy_from_slice(&a.to_le_bytes());
+        chunk[filled + 8..filled + 16].copy_from_slice(&b.to_le_bytes());
+        filled += 16;
+        if filled == chunk.len() {
+            w.write_all(&chunk)?;
+            filled = 0;
+        }
     }
-    Ok(())
+    w.write_all(&chunk[..filled])
+}
+
+/// The inverse of [`write_pairs`]: a `u32` count, then that many pairs,
+/// taken as one slice (so a count the input cannot hold is `Truncated`
+/// before anything is allocated) and decoded pair by pair.
+fn read_pairs<'a>(
+    r: &mut Reader<'a>,
+) -> Result<impl ExactSizeIterator<Item = (f64, f64)> + 'a, DecodeError> {
+    let n = r.u32()? as usize;
+    let run = r.take(n.checked_mul(16).ok_or(DecodeError::Truncated)?)?;
+    let f64_at = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
+    Ok(run.chunks_exact(16).map(move |p| (f64_at(&p[..8]), f64_at(&p[8..]))))
 }
 
 /// An immutable frozen view of a [`DynamicPolyFitSum`]: the `Arc`-shared
@@ -1696,17 +1714,19 @@ impl DynamicPolyFitSum {
         } else {
             Some(Arc::new(PolyFitSum::from_bytes(r.take(base_len)?)?))
         };
-        let n_records = r.u32()? as usize;
-        let mut base_records = Vec::with_capacity(n_records.min(1 << 20));
-        for _ in 0..n_records {
-            let key = r.finite("record key")?;
-            let measure = r.finite("record measure")?;
+        let pairs = read_pairs(&mut r)?;
+        let mut base_records = Vec::with_capacity(pairs.len());
+        let mut prev = f64::NEG_INFINITY;
+        for (key, measure) in pairs {
+            let key = finite(key, "record key")?;
+            let measure = finite(measure, "record measure")?;
             // Compaction linear-merges this set and derives segment
             // statistics from it, both of which assume sorted distinct
             // keys — enforce at the trust boundary.
-            if base_records.last().is_some_and(|prev: &Record| key <= prev.key) {
+            if key <= prev {
                 return Err(DecodeError::Corrupt("record order"));
             }
+            prev = key;
             base_records.push(Record::new(key, measure));
         }
         if let Some(base) = &base {
@@ -1726,12 +1746,11 @@ impl DynamicPolyFitSum {
                 }
             }
         }
-        let n_buffered = r.u32()? as usize;
         let mut buffer = BTreeMap::new();
-        for _ in 0..n_buffered {
-            let key = r.finite("buffered key")?;
+        for (key, dm) in read_pairs(&mut r)? {
+            let key = finite(key, "buffered key")?;
             let key = if key == 0.0 { 0.0 } else { key };
-            let dm = r.finite("buffered delta")?;
+            let dm = finite(dm, "buffered delta")?;
             if dm != 0.0 {
                 buffer.insert(ord_bits(key), (key, dm));
             }
@@ -2196,6 +2215,46 @@ mod tests {
             DynamicPolyFitSum::from_bytes(&bytes).is_err(),
             "stats spans overrunning the record set must not decode"
         );
+    }
+
+    /// Damage inside the PFD2 record run and buffered deltas ends in the
+    /// typed error naming the field, and a count the input cannot hold in
+    /// `Truncated`, before any record is decoded.
+    #[test]
+    fn damaged_pair_runs_end_in_typed_errors() {
+        let mut idx =
+            DynamicPolyFitSum::new(base_records(100), 5.0, PolyFitConfig::default(), 1 << 30)
+                .unwrap();
+        idx.insert(42.5, 3.0);
+        idx.insert(60.5, 1.0);
+        let bytes = idx.to_bytes();
+        let base_len = u32::from_le_bytes(bytes[32..36].try_into().unwrap()) as usize;
+        let records = 36 + base_len + 4; // first record's key
+        let buffered = records + 100 * 16 + 4; // first buffered key
+        assert_eq!(bytes.len(), buffered + 2 * 16);
+        let with = |at: usize, v: &[u8]| {
+            let mut b = bytes.clone();
+            b[at..at + v.len()].copy_from_slice(v);
+            DynamicPolyFitSum::from_bytes(&b).err()
+        };
+        let nan = f64::NAN.to_le_bytes();
+        let corrupt = |what| Some(DecodeError::Corrupt(what));
+        assert_eq!(with(records + 3 * 16, &nan), corrupt("record key"));
+        assert_eq!(
+            with(records + 5 * 16 + 8, &f64::INFINITY.to_le_bytes()),
+            corrupt("record measure")
+        );
+        assert_eq!(with(records + 5 * 16, &4.0f64.to_le_bytes()), corrupt("record order"));
+        assert_eq!(with(records + 5 * 16, &3.5f64.to_le_bytes()), corrupt("record order"));
+        assert_eq!(with(buffered + 16, &nan), corrupt("buffered key"));
+        assert_eq!(with(buffered + 8, &nan), corrupt("buffered delta"));
+        assert_eq!(with(records - 4, &u32::MAX.to_le_bytes()), Some(DecodeError::Truncated));
+        assert_eq!(with(buffered - 4, &3u32.to_le_bytes()), Some(DecodeError::Truncated));
+        for cut in [records + 7, records + 50 * 16, buffered + 31] {
+            let err = DynamicPolyFitSum::from_bytes(&bytes[..cut]).err();
+            assert_eq!(err, Some(DecodeError::Truncated), "cut at {cut}");
+        }
+        assert!(with(records + 5 * 16, &5.0f64.to_le_bytes()).is_none());
     }
 
     /// The generational state machine reports sane progress.

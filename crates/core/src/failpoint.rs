@@ -115,6 +115,7 @@ pub const WAL_SITES: &[&str] = &[
     "wal.ckpt.begin",      // a checkpoint starts: stall or kill the checkpointer
     "wal.ckpt.renamed",    // checkpoint renamed in place, directory not yet fsynced
     "wal.ckpt.durable",    // checkpoint durable, superseded segments not yet deleted
+    "wal.ckpt.failed",     // a checkpointer job's failure is recorded for its journal
 ];
 
 #[cfg(feature = "failpoints")]

@@ -79,7 +79,7 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(DecodeError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -102,12 +102,16 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
     pub(crate) fn finite(&mut self, what: &'static str) -> Result<f64, DecodeError> {
-        let v = self.f64()?;
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(DecodeError::Corrupt(what))
-        }
+        finite(self.f64()?, what)
+    }
+}
+
+/// `v` when it is finite, else `Corrupt(what)`.
+pub(crate) fn finite(v: f64, what: &'static str) -> Result<f64, DecodeError> {
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(DecodeError::Corrupt(what))
     }
 }
 

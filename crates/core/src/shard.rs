@@ -1133,12 +1133,14 @@ impl ShardedServer {
 
     /// Crash recovery: rebuild the exact pre-crash server from
     /// `wal_dir`. The layout log replays the split/merge lineage to the
-    /// routing table that was live at the crash; files of retired shards
-    /// (their cutover record made the layout log before the crash) are
-    /// removed. Each surviving shard then recovers from its own
-    /// checkpoint and log segments, one shard after another, and resumes
-    /// journaling in its newest segment
-    /// ([`DynamicPolyFitSum::resume_wal`]) — no checkpoint is rewritten.
+    /// routing table that was live at the crash, and is folded into a
+    /// fresh layout checkpoint only when it replayed a rebalance (else
+    /// appends continue in it); files of retired shards (their cutover
+    /// record made the layout log before the crash) are removed. Each
+    /// surviving shard then recovers from its own checkpoint and log
+    /// segments, one shard after another, and resumes journaling in its
+    /// newest segment ([`DynamicPolyFitSum::resume_wal`]) — no checkpoint
+    /// is rewritten.
     /// Returns the running server plus per-shard recovery reports in
     /// layout order.
     pub fn recover(
@@ -1153,7 +1155,7 @@ impl ShardedServer {
             // instead of surfacing a raw `NotFound`.
             return Err(WalError::NoJournal(wal_dir.to_path_buf()));
         }
-        let (layout_ckpt, _rebalances, _truncated) = LayoutLog::recover(wal_dir)?;
+        let (log, layout_ckpt) = LayoutLog::resume(wal_dir)?;
         remove_orphan_segments(wal_dir, &layout_ckpt.ids);
         let checkpointer = Checkpointer::start();
         let domain = Domain::new();
@@ -1176,8 +1178,6 @@ impl ShardedServer {
             parts.push((rt, index, report.head_seq));
             reports.push((id, report));
         }
-        // Fold the replayed rebalances into a fresh layout checkpoint.
-        let log = LayoutLog::create(wal_dir, &layout_ckpt)?;
         let next_id = layout_ckpt.ids.iter().copied().max().map_or(0, |m| m + 1);
         let shared = Arc::new(ServerShared {
             layout: Published::new(
@@ -2779,6 +2779,67 @@ mod tests {
         // the replayed lineage.
         assert!(post_ids.iter().all(|&id| id < recovered.shared.next_id.load(SeqCst)));
         recovered.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_rewrites_the_layout_only_to_fold_rebalances() {
+        use crate::wal::{checkpoint_path, log_path};
+        let dir = wal_dir("layout-kept");
+        // Each layout file's bytes and inode: a rewrite goes through a
+        // temp file renamed over the old one, so even a byte-identical
+        // rewrite shows as a new inode.
+        let layout_files = || {
+            [checkpoint_path(&dir, "layout"), log_path(&dir, "layout")].map(|p| {
+                #[cfg(unix)]
+                let inode = std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(&p).unwrap());
+                #[cfg(not(unix))]
+                let inode = 0;
+                (std::fs::read(&p).unwrap(), inode)
+            })
+        };
+        let frozen = ShardConfig { compaction_budget: 0, ..recording_config(2) };
+        let recover = |cfg| ShardedServer::recover(&dir, cfg, SyncPolicy::Batch).unwrap().0;
+        ShardedServer::start_with_wal(
+            records(1300),
+            8.0,
+            capped(),
+            frozen,
+            &dir,
+            SyncPolicy::Batch,
+        )
+        .unwrap()
+        .shutdown();
+        let booted = layout_files();
+        for i in 0..2 {
+            recover(frozen).shutdown();
+            assert!(layout_files() == booted, "recovery {i} rewrote a layout file");
+        }
+        // A split after a recovery appends to the kept log…
+        let server = recover(ShardConfig { split_threshold: 700, max_shards: 6, ..frozen });
+        let handle = server.handle();
+        for i in 0..400 {
+            handle.insert(10.0 + i as f64 * 0.125, 1.5).unwrap();
+        }
+        let pre = wait_for(&server, |s| s.shards.iter().all(|p| p.len <= 700));
+        assert!(pre.splits >= 1, "split threshold must have fired: {pre:?}");
+        server.shutdown();
+        let [ckpt, (log, log_inode)] = layout_files();
+        assert!(ckpt == booted[0], "the split rewrote the layout checkpoint");
+        let kept = &booted[1].0;
+        assert!(log_inode == booted[1].1 && log.len() > kept.len() && log.starts_with(kept));
+        // …the next recovery replays it to the pre-crash routing table and
+        // folds it into a fresh checkpoint, which later recoveries keep.
+        let recovered = recover(frozen);
+        let post = recovered.stats();
+        let ids = |s: &ShardedStats| s.shards.iter().map(|p| p.shard).collect::<Vec<_>>();
+        let bounds = |s: &ShardedStats| s.bounds.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+        assert_eq!((ids(&post), bounds(&post)), (ids(&pre), bounds(&pre)));
+        recovered.shutdown();
+        let folded = layout_files();
+        assert!(folded[0].0 != booted[0].0, "the replayed split was not folded");
+        recover(frozen).shutdown();
+        assert!(layout_files() == folded, "a recovery after the fold rewrote a layout file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

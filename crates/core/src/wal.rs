@@ -17,33 +17,35 @@
 //!   commit**). The serving loop calls it before every snapshot publish,
 //!   so every state a reader can observe is on disk.
 //! * **Checkpoints.** `<dir>/<name>.ckpt` holds the full serialized index
-//!   (the PFD2 format) in a checksummed container that adds the replay
-//!   cursor. A checkpoint is due at every [`CHECKPOINT_EVERY`]-th
-//!   compaction swap. At such a swap the journal switches to the next
-//!   segment, a zero-filled file prepared in advance, and writes the swap
-//!   record at its head. A sharded server hands the post-swap state (the
-//!   `Arc`-shared base and record run plus the buffered deltas) to its
-//!   [`Checkpointer`] thread, which streams the checkpoint into a temp
-//!   file, fences it, renames it over `<name>.ckpt`, fsyncs the
-//!   directory, deletes the segments the checkpoint supersedes and
-//!   prepares the next segment. The shard worker does no checkpoint I/O.
-//!   At most one checkpoint per journal is in flight: one that falls due
-//!   while another runs moves to the next swap. A journal without a
+//!   (the PFD2 format) in a container (`PFC2`) that adds the replay cursor
+//!   and a word-wise [`Checksum`] of everything after it — frames and
+//!   layout files keep FNV-1a, whose byte-at-a-time multiply chain would
+//!   dominate a recovery over megabytes of checkpoint. A checkpoint is due
+//!   at every [`CHECKPOINT_EVERY`]-th compaction swap. At such a swap the
+//!   journal switches to the next segment, a zero-filled file prepared in
+//!   advance, and writes the swap record at its head. A sharded server
+//!   hands the post-swap state (the `Arc`-shared base and record run plus
+//!   the buffered deltas) to its [`Checkpointer`] thread, which streams the
+//!   checkpoint into a temp file, fences it, renames it over `<name>.ckpt`,
+//!   fsyncs the directory, deletes the segments the checkpoint supersedes
+//!   and prepares the next segment. The shard worker does no checkpoint
+//!   I/O. At most one checkpoint per journal is in flight: one that falls
+//!   due while another runs moves to the next swap. A journal without a
 //!   checkpointer (a standalone index) runs the same steps inline at the
 //!   swap.
-//! * **Recovery.** Read the checkpoint, then every segment after it: a
-//!   torn or corrupt frame ends a segment's scan, everything before it
-//!   is recovered, the segment is truncated there
-//!   (truncate-at-corruption), and the tail is reported, never silently
-//!   dropped. A segment whose base is past the point the checkpoint and
-//!   the segments before it reach (a gap) ends the replay. Updates re-apply through the
-//!   normal insert/delete path and each [`WalRecord::CompactionSwap`]
-//!   re-stages at its recorded cursor and compacts blocking —
-//!   bitwise-identical to the live stepped rebuild, so a recovered index
-//!   answers bit-for-bit like one that never crashed. A resumed journal
-//!   appends to the newest segment instead of writing a new checkpoint,
-//!   so a recovery replays at most `CHECKPOINT_EVERY − 1` swaps plus any
-//!   deferred checkpoint.
+//! * **Recovery.** Read the checkpoint (its index straight into a buffer of
+//!   its own), then every segment after it: a torn or corrupt frame ends a
+//!   segment's scan, everything before it is recovered, the segment is
+//!   truncated there (truncate-at-corruption), and the tail is reported,
+//!   never silently dropped. A segment whose base is past the point the
+//!   checkpoint and the segments before it reach (a gap) ends the replay.
+//!   Updates re-apply through the normal insert/delete path and each
+//!   [`WalRecord::CompactionSwap`] re-stages at its recorded cursor and
+//!   compacts blocking — bitwise-identical to the live stepped rebuild, so
+//!   a recovered index answers bit-for-bit like one that never crashed. A
+//!   resumed journal appends to the newest segment instead of writing a new
+//!   checkpoint, so a recovery replays at most `CHECKPOINT_EVERY − 1` swaps
+//!   plus any deferred checkpoint.
 //!
 //! ## Crash windows of the checkpoint protocol
 //!
@@ -85,9 +87,13 @@ use crate::serialize::{decode_wal_record, DecodeError, Reader, WalRecord, Writer
 /// number of updates already folded into the checkpoint this log extends.
 /// (v2: frame checksums are position-keyed, see [`fnv1a_pos`].)
 const MAGIC_WAL: &[u8; 4] = b"PFW2";
-/// Checkpoint-container magic: "PFC1" — checksummed wrapper around a
-/// serialized index plus its replay cursor.
-const MAGIC_CKPT: &[u8; 4] = b"PFC1";
+/// Checkpoint-container magic: "PFC2" — checksummed wrapper around a
+/// serialized index plus its replay cursor. (v2: the checksum is the
+/// word-wise [`Checksum`]; "PFC1" used byte-wise FNV-1a.)
+const MAGIC_CKPT: &[u8; 4] = b"PFC2";
+/// Checkpoint header length: magic, checksum, `updates_applied`,
+/// `rebuilds` and `index_len`.
+const CKPT_HEADER: usize = 36;
 /// Shard-layout checkpoint magic: "PFL1" — the routing table (shard ids
 /// + bounds) the layout log's rebalance records extend.
 const MAGIC_LAYOUT: &[u8; 4] = b"PFL1";
@@ -152,6 +158,86 @@ fn fnv1a_pos(bytes: &[u8], offset: u64) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The checkpoint checksum, fast enough that checksumming no longer
+/// dominates a recovery. Four 64-bit lanes fold the input's 8-byte
+/// little-endian words in turn (lane `i` takes word `i` of every 32-byte
+/// block) by xor, multiply and xorshift; a tail under 32 bytes then folds
+/// in byte by byte, and the length last. Each step is a bijection of its
+/// lane, so a change confined to one word — any single-bit flip — always
+/// changes the result; the xorshift carries a lane's top bit down, so two
+/// flips of bit 63 in two words of one lane do not cancel, as they would
+/// under xor–multiply alone. The four independent multiply chains run at
+/// memory speed, where FNV-1a pays a dependent multiply per byte.
+///
+/// [`Checksum::update`] carries a partial block across calls, so a
+/// stream split anywhere hashes like the whole input in one call.
+struct Checksum {
+    lanes: [u64; 4],
+    /// The first `pending` bytes of a block not folded yet.
+    block: [u8; 32],
+    pending: usize,
+    len: u64,
+}
+
+impl Checksum {
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    const SEEDS: [u64; 4] = [
+        0xcbf2_9ce4_8422_2325,
+        0x8422_2325_cbf2_9ce4,
+        0x9ce4_8422_2325_cbf2,
+        0x2325_cbf2_9ce4_8422,
+    ];
+
+    fn new() -> Checksum {
+        Checksum { lanes: Self::SEEDS, block: [0; 32], pending: 0, len: 0 }
+    }
+
+    #[inline(always)]
+    fn mix(h: u64, word: u64) -> u64 {
+        let h = (h ^ word).wrapping_mul(Self::MUL);
+        h ^ (h >> 29)
+    }
+
+    #[inline(always)]
+    fn fold(lanes: &mut [u64; 4], block: &[u8]) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = Self::mix(*lane, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending > 0 {
+            let k = bytes.len().min(32 - self.pending);
+            self.block[self.pending..self.pending + k].copy_from_slice(&bytes[..k]);
+            self.pending += k;
+            bytes = &bytes[k..];
+            if self.pending < 32 {
+                return;
+            }
+            Self::fold(&mut self.lanes, &self.block);
+            self.pending = 0;
+        }
+        let mut lanes = self.lanes;
+        let mut blocks = bytes.chunks_exact(32);
+        for block in &mut blocks {
+            Self::fold(&mut lanes, block);
+        }
+        self.lanes = lanes;
+        let tail = blocks.remainder();
+        self.block[..tail.len()].copy_from_slice(tail);
+        self.pending = tail.len();
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.lanes.iter().fold(0, |h, &lane| Self::mix(h, lane));
+        for &b in &self.block[..self.pending] {
+            h = Self::mix(h, b as u64);
+        }
+        Self::mix(h, self.len)
+    }
 }
 
 /// Errors from the durable write path.
@@ -589,19 +675,16 @@ fn scan_bytes(bytes: &[u8]) -> Result<WalScan, WalError> {
 
 /// Streams a checkpoint container into its temp file through the
 /// [`VirtualFile`] seam: bytes collect in a [`CHECKPOINT_CHUNK`] buffer
-/// and fold into the running FNV-1a checksum on the way.
+/// and fold into the running [`Checksum`] on the way.
 struct CheckpointWriter {
     file: LogFile,
     buf: Vec<u8>,
-    hash: u64,
+    hash: Checksum,
 }
 
 impl io::Write for CheckpointWriter {
     fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.hash.update(bytes);
         self.buf.extend_from_slice(bytes);
         if self.buf.len() >= CHECKPOINT_CHUNK {
             self.flush()?;
@@ -617,8 +700,8 @@ impl io::Write for CheckpointWriter {
 }
 
 /// Write journal `name`'s checkpoint crash-atomically: the container
-/// `"PFC1" | fnv1a | updates_applied | rebuilds | index_len | index`
-/// (the checksum covers everything after itself), where `index` is the
+/// `"PFC2" | checksum | updates_applied | rebuilds | index_len | index`
+/// (the [`Checksum`] covers everything after itself), where `index` is the
 /// `index_len` bytes `body` writes. The container streams into the temp
 /// file, the checksum is patched in, and the file is fenced, renamed over
 /// `<name>.ckpt` and the directory fsynced.
@@ -636,7 +719,7 @@ fn write_checkpoint(
     let mut out = CheckpointWriter {
         file: log_file(f, 0),
         buf: Vec::with_capacity(CHECKPOINT_CHUNK),
-        hash: fnv1a(b""),
+        hash: Checksum::new(),
     };
     out.buf.extend_from_slice(MAGIC_CKPT);
     out.buf.extend_from_slice(&[0; 8]); // checksum, patched below
@@ -646,7 +729,7 @@ fn write_checkpoint(
     body(&mut out)?;
     out.flush()?;
     out.file.seek_to(4)?;
-    out.file.write_all(&out.hash.to_le_bytes())?;
+    out.file.write_all(&out.hash.finish().to_le_bytes())?;
     out.file.sync_data()?;
     fs::rename(&tmp, &path)?;
     // Failpoint: the rename is in place but not yet pinned by the
@@ -680,32 +763,45 @@ pub struct Checkpoint {
     pub index: Vec<u8>,
 }
 
-/// Read and verify a checkpoint file written by [`Journal`].
+/// Read and verify a checkpoint file written by [`Journal`]. The header
+/// is read first; the index then goes straight into a buffer of its own,
+/// sized by the header only once the file's length agrees with it, so a
+/// crafted length cannot allocate more than the file holds.
 pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, WalError> {
-    let mut bytes = match fs::read(path) {
-        Ok(b) => b,
+    let mut f = match File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
             return Err(WalError::Missing(path.to_path_buf()))
         }
         Err(e) => return Err(e.into()),
     };
-    let mut r = Reader::new(&bytes);
-    if r.take(4).map_err(WalError::Decode)? != MAGIC_CKPT {
+    let file_len = f.metadata()?.len();
+    let mut head = Vec::with_capacity(CKPT_HEADER);
+    (&mut f).take(CKPT_HEADER as u64).read_to_end(&mut head)?;
+    let mut r = Reader::new(&head);
+    if r.take(4)? != MAGIC_CKPT {
         return Err(DecodeError::BadMagic.into());
     }
-    let cksum = r.u64().map_err(WalError::Decode)?;
-    if fnv1a(&bytes[12..]) != cksum {
+    let cksum = r.u64()?;
+    let updates_applied = r.u64()?;
+    let rebuilds = r.u64()?;
+    let index_len = r.u64()?;
+    // The index ends the file: shorter is a truncation, longer carries
+    // bytes no checkpoint writes.
+    match index_len.checked_add(CKPT_HEADER as u64) {
+        Some(end) if end == file_len => {}
+        Some(end) if end < file_len => return Err(DecodeError::Corrupt("checkpoint length").into()),
+        _ => return Err(DecodeError::Truncated.into()),
+    }
+    let mut index = vec![0; usize::try_from(index_len).map_err(|_| DecodeError::Truncated)?];
+    f.read_exact(&mut index)?;
+    let mut hash = Checksum::new();
+    hash.update(&head[12..]);
+    hash.update(&index);
+    if hash.finish() != cksum {
         return Err(DecodeError::Corrupt("checkpoint checksum").into());
     }
-    let updates_applied = r.u64().map_err(WalError::Decode)?;
-    let rebuilds = r.u64().map_err(WalError::Decode)?;
-    let index_len = r.u64().map_err(WalError::Decode)? as usize;
-    r.take(index_len).map_err(WalError::Decode)?;
-    // The index bytes are the tail of the file buffer: trim the header
-    // off in place instead of copying them out.
-    bytes.truncate(36 + index_len);
-    bytes.drain(..36);
-    Ok(Checkpoint { updates_applied, rebuilds, index: bytes })
+    Ok(Checkpoint { updates_applied, rebuilds, index })
 }
 
 /// Log file path for a journal name: its first segment.
@@ -1377,6 +1473,13 @@ impl Job {
             Ok(Err(e)) => state.failure = Some(format!("checkpoint failed: {e}")),
             Err(_) => state.failure = Some("checkpointer panicked".to_string()),
         }
+        let failed = state.failure.is_some();
+        drop(state);
+        if failed {
+            // Failpoint: the failure is recorded; the journal fail-stops
+            // at its next sync.
+            crate::failpoint::hit("wal.ckpt.failed");
+        }
     }
 }
 
@@ -1746,10 +1849,29 @@ impl LayoutLog {
         checkpoint_path(dir, LAYOUT_NAME).exists()
     }
 
+    /// Recover the routing table and take the log over for appends. A
+    /// log that replayed no rebalance is kept and appended to at the
+    /// valid end its scan found (after any torn tail was cut), so such a
+    /// recovery writes neither layout file; one that did replay
+    /// rebalances is folded into a fresh checkpoint and log
+    /// ([`Self::create`]), as is a log whose header record is torn.
+    pub(crate) fn resume(dir: &Path) -> Result<(LayoutLog, LayoutCheckpoint), WalError> {
+        let (layout, rebalances, scan, _) = Self::recover(dir)?;
+        if !rebalances.is_empty() || scan.records.is_empty() {
+            return Ok((Self::create(dir, &layout)?, layout));
+        }
+        let f = OpenOptions::new().write(true).open(log_path(dir, LAYOUT_NAME))?;
+        let mut file = log_file(f, 0);
+        file.seek_to(scan.valid_len)?;
+        Ok((LayoutLog { dir: dir.to_path_buf(), file, pos: scan.valid_len }, layout))
+    }
+
     /// Recover the routing table: checkpoint + rebalance-record replay.
-    /// Returns the final layout, the replayed rebalance records, and the
-    /// torn-tail bytes truncated from the log.
-    pub fn recover(dir: &Path) -> Result<(LayoutCheckpoint, Vec<WalRecord>, u64), WalError> {
+    /// Returns the final layout, the replayed rebalance records, the log's
+    /// scan, and the torn-tail bytes truncated from the log.
+    pub fn recover(
+        dir: &Path,
+    ) -> Result<(LayoutCheckpoint, Vec<WalRecord>, WalScan, u64), WalError> {
         let bytes = fs::read(checkpoint_path(dir, LAYOUT_NAME)).map_err(|e| {
             if e.kind() == io::ErrorKind::NotFound {
                 WalError::Missing(checkpoint_path(dir, LAYOUT_NAME))
@@ -1763,13 +1885,14 @@ impl LayoutLog {
         let truncated = truncate_torn_tail(&path, &scan)?;
         let rebalances: Vec<WalRecord> = scan
             .records
-            .into_iter()
+            .iter()
             .filter(|r| matches!(r, WalRecord::SplitAt { .. } | WalRecord::Merge { .. }))
+            .copied()
             .collect();
         for rec in &rebalances {
             layout.apply(rec);
         }
-        Ok((layout, rebalances, truncated))
+        Ok((layout, rebalances, scan, truncated))
     }
 }
 
@@ -2110,6 +2233,124 @@ mod tests {
         assert!(matches!(read_checkpoint(&dir.join("absent.ckpt")), Err(WalError::Missing(_))));
     }
 
+    /// A checkpoint of `index` at cursor 5 after 1 swap, written through
+    /// `write_checkpoint` in the pieces `split` cuts it into.
+    fn checkpoint_in_pieces(dir: &Path, index: &[u8], split: &[usize]) -> Vec<u8> {
+        write_checkpoint(dir, "t", 5, 1, index.len() as u64, |w| {
+            let mut rest = index;
+            for &n in split.iter().cycle() {
+                if rest.is_empty() {
+                    return Ok(());
+                }
+                let (piece, tail) = rest.split_at(n.min(rest.len()));
+                w.write_all(piece)?;
+                rest = tail;
+            }
+            Ok(())
+        })
+        .unwrap();
+        fs::read(checkpoint_path(dir, "t")).unwrap()
+    }
+
+    fn test_bytes(n: usize) -> Vec<u8> {
+        (0..n as u64).map(|i| (i.wrapping_mul(0x9e37_79b9) >> 7) as u8).collect()
+    }
+
+    #[test]
+    fn checkpoint_checksum_streams_like_one_shot() {
+        let dir = tmp_dir("ckpt-stream");
+        // The stored checksum is the one-shot checksum of everything
+        // after it, whatever pieces the body arrived in: single bytes,
+        // cuts inside and across 32-byte blocks, a whole block, and
+        // pieces larger than the writer's chunk.
+        let index = test_bytes(3 * CHECKPOINT_CHUNK + 77);
+        let whole = checkpoint_in_pieces(&dir, &index, &[index.len()]);
+        let mut one_shot = Checksum::new();
+        one_shot.update(&whole[12..]);
+        assert_eq!(whole[4..12], one_shot.finish().to_le_bytes());
+        for split in [&[1][..], &[7, 31], &[32], &[33, 5, 64], &[CHECKPOINT_CHUNK + 3, 1]] {
+            let streamed = checkpoint_in_pieces(&dir, &index, split);
+            assert!(streamed == whole, "split {split:?} changed the checkpoint");
+        }
+        // Any two-piece split of a short input, hashed directly.
+        let bytes = test_bytes(200);
+        let mut all = Checksum::new();
+        all.update(&bytes);
+        for cut in 0..=bytes.len() {
+            let mut c = Checksum::new();
+            c.update(&bytes[..cut]);
+            c.update(&bytes[cut..]);
+            assert_eq!(c.finish(), all.finish(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_checkpoint_is_rejected() {
+        let dir = tmp_dir("ckpt-flips");
+        let path = checkpoint_path(&dir, "t");
+        let clean = checkpoint_in_pieces(&dir, &test_bytes(101), &[101]);
+        let back = read_checkpoint(&path).unwrap();
+        assert_eq!((back.updates_applied, back.rebuilds, back.index), (5, 1, test_bytes(101)));
+        for bit in 0..clean.len() * 8 {
+            let mut bytes = clean.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(read_checkpoint(&path), Err(WalError::Decode(_))),
+                "flip of bit {bit} accepted"
+            );
+        }
+        // Two flips of bit 63 in two words of one lane: xor–multiply
+        // alone cancels them, the xorshift must not. Word `w` of the
+        // checksummed bytes starts at file offset 12 + 8w; lane w % 4.
+        // Words 3.. are the index.
+        for w in 3..8 {
+            let mut bytes = clean.clone();
+            for word in [w, w + 4] {
+                bytes[12 + 8 * word + 7] ^= 0x80;
+            }
+            fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(
+                    read_checkpoint(&path),
+                    Err(WalError::Decode(DecodeError::Corrupt("checkpoint checksum")))
+                ),
+                "top-bit flips in words {w} and {} accepted",
+                w + 4
+            );
+        }
+    }
+
+    #[test]
+    fn old_short_and_long_checkpoints_end_in_typed_errors() {
+        let dir = tmp_dir("ckpt-typed");
+        let path = checkpoint_path(&dir, "t");
+        let clean = checkpoint_in_pieces(&dir, &test_bytes(64), &[64]);
+        let read = |bytes: &[u8]| {
+            fs::write(&path, bytes).unwrap();
+            read_checkpoint(&path)
+        };
+        let decode = |r: Result<Checkpoint, WalError>| match r {
+            Err(WalError::Decode(e)) => e,
+            other => panic!("expected a decode error, got {other:?}"),
+        };
+        let mut old = clean.clone();
+        old[..4].copy_from_slice(b"PFC1");
+        assert_eq!(decode(read(&old)), DecodeError::BadMagic);
+        for cut in [0, 3, 4, 11, 12, 35, 36, clean.len() - 1] {
+            assert_eq!(decode(read(&clean[..cut])), DecodeError::Truncated, "cut at {cut}");
+        }
+        let mut long = clean.clone();
+        long.extend_from_slice(&[0; 3]);
+        assert_eq!(decode(read(&long)), DecodeError::Corrupt("checkpoint length"));
+        // A length field past the file (here near u64::MAX) allocates
+        // nothing and reads as truncated.
+        let mut huge = clean.clone();
+        huge[28..36].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
+        assert_eq!(decode(read(&huge)), DecodeError::Truncated);
+        assert_eq!(read(&clean).unwrap().index, test_bytes(64));
+    }
+
     #[test]
     fn crafted_counts_in_recovery_files_end_in_typed_errors() {
         use crate::config::PolyFitConfig;
@@ -2165,7 +2406,7 @@ mod tests {
         let mut l = LayoutLog::create(&dir, &initial).unwrap();
         l.append_sync(&WalRecord::SplitAt { parent: 1, key: 20.0, left: 2, right: 3 }).unwrap();
         l.append_sync(&WalRecord::Merge { left: 0, right: 2, merged: 4 }).unwrap();
-        let (layout, rebalances, truncated) = LayoutLog::recover(&dir).unwrap();
+        let (layout, rebalances, _, truncated) = LayoutLog::recover(&dir).unwrap();
         assert_eq!(layout, LayoutCheckpoint { ids: vec![4, 3], bounds: vec![20.0] });
         assert_eq!(rebalances.len(), 2);
         assert_eq!(truncated, 0);
@@ -2183,7 +2424,7 @@ mod tests {
         let path = log_path(&dir, LAYOUT_NAME);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
-        let (layout, rebalances, truncated) = LayoutLog::recover(&dir).unwrap();
+        let (layout, rebalances, _, truncated) = LayoutLog::recover(&dir).unwrap();
         assert_eq!(layout, initial);
         assert!(rebalances.is_empty());
         assert!(truncated > 0);

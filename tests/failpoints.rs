@@ -1053,7 +1053,10 @@ fn checkpointer_crash_windows_fail_stop_and_recover_bitwise() {
     ] {
         let stalled = stall_first_checkpoint("ckpt-window", 60);
         failpoint::configure(site, spec).unwrap();
-        eventually(site, || failpoint::fired(site) > 0);
+        // The checkpointer records the failure only after the fault (and
+        // after an injected panic has unwound): wait for the record, not
+        // the fault, so the next write is sure to find it.
+        eventually(site, || failpoint::hits("wal.ckpt.failed") > 0);
         assert_eq!(failpoint::fired(site), 1, "{site}: the injected fault fires once");
         let fail_stopped = finish_checkpoint_window(stalled, site);
         assert!(fail_stopped, "{site}: a failed checkpoint must fail-stop the server");

@@ -4,9 +4,16 @@
 //! segmentation (every probe a converged exchange fit), so any change to
 //! how segments are searched, fitted or certified that moves a single
 //! coefficient, residual or segment end fails here.
+//!
+//! The same gate holds the PFD2 bytes `DynamicPolyFitSum::to_bytes`
+//! writes — base block, record run and buffered deltas — for dynamic
+//! indexes as built, with buffered inserts and deletes, after a
+//! compaction, and with deltas buffered on the compacted base; those
+//! digests were recorded with the field-by-field record codec.
 
 use polyfit_suite::data::{generate_hki, generate_tweet};
 use polyfit_suite::exact::dataset::Record;
+use polyfit_suite::polyfit::dynamic::DynamicPolyFitSum;
 use polyfit_suite::polyfit::prelude::*;
 use polyfit_suite::polyfit::PolyFitSum;
 
@@ -93,6 +100,86 @@ fn hki_sum_builds_keep_their_bytes() {
             (500.0, 2, 109, 0xaaf4dca6bdf6ac47),
             (500.0, 3, 83, 0xed4d0880e6078f7c),
             (500.0, 8, 37, 0xfb95a7f88335baaf),
+        ],
+    );
+}
+
+/// `(δ, stage, digest)` of the PFD2 bytes of a dynamic index over
+/// `records` at four stages: as built, with buffered updates (inserts
+/// between keys, full deletes, additions to existing keys), after a
+/// blocking compaction, and with more updates buffered on the compacted
+/// base.
+fn dynamic_digests(records: &[Record]) -> Vec<(f64, &'static str, u64)> {
+    let mut out = Vec::new();
+    for delta in [5.0, 50.0] {
+        let mut idx =
+            DynamicPolyFitSum::new(records.to_vec(), delta, PolyFitConfig::default(), 1 << 20)
+                .unwrap();
+        idx.set_step_budget(0);
+        out.push((delta, "built", fnv1a(&idx.to_bytes())));
+        let n = records.len();
+        for i in (0..n - 1).step_by(101) {
+            idx.insert(0.5 * (records[i].key + records[i + 1].key), 1.5);
+        }
+        for i in (0..n).step_by(173) {
+            idx.delete(records[i].key, records[i].measure);
+        }
+        for i in (50..n).step_by(211) {
+            idx.insert(records[i].key, 2.0);
+        }
+        out.push((delta, "buffered", fnv1a(&idx.to_bytes())));
+        assert!(idx.begin_compaction());
+        idx.compact_now();
+        out.push((delta, "compacted", fnv1a(&idx.to_bytes())));
+        for i in (7..n).step_by(307) {
+            idx.insert(records[i].key + 0.25, 0.75);
+            idx.delete(records[i - 7].key, 0.5 * records[i - 7].measure);
+        }
+        out.push((delta, "compacted+buffered", fnv1a(&idx.to_bytes())));
+    }
+    out
+}
+
+fn check_dynamic(
+    name: &str,
+    data: &[polyfit_suite::data::Record],
+    pinned: &[(f64, &'static str, u64)],
+) {
+    let records: Vec<Record> = data.iter().map(|r| Record::new(r.key, r.measure)).collect();
+    let got = dynamic_digests(&records);
+    let listing: String =
+        got.iter().map(|(d, s, h)| format!("    ({d:?}, {s:?}, 0x{h:016x}),\n")).collect();
+    assert_eq!(got, pinned, "{name} PFD2 digests moved; this build reads:\n{listing}");
+}
+
+#[test]
+fn dynamic_pfd2_bytes_are_pinned() {
+    check_dynamic(
+        "TWEET",
+        &generate_tweet(KEYS, 42),
+        &[
+            (5.0, "built", 0xc82feb38dae7560e),
+            (5.0, "buffered", 0x565beb8335663490),
+            (5.0, "compacted", 0x0db3cbd142fbd5de),
+            (5.0, "compacted+buffered", 0x0a8ae76a9a33d11e),
+            (50.0, "built", 0x656321580a0a25cc),
+            (50.0, "buffered", 0x781bc250fbc5d11a),
+            (50.0, "compacted", 0x000f8271c62d036f),
+            (50.0, "compacted+buffered", 0x103a22d31307628f),
+        ],
+    );
+    check_dynamic(
+        "HKI",
+        &generate_hki(KEYS, 42),
+        &[
+            (5.0, "built", 0x97bf4d0ac927fed3),
+            (5.0, "buffered", 0x6ed7a0a609dc7c6a),
+            (5.0, "compacted", 0xf9e8b1264fb0c319),
+            (5.0, "compacted+buffered", 0x2841e26e107e3901),
+            (50.0, "built", 0xa1f76ac03cbc0adc),
+            (50.0, "buffered", 0x64fbf68da6ea34f1),
+            (50.0, "compacted", 0xf036f6841132d048),
+            (50.0, "compacted+buffered", 0xb81da0d40eccdb90),
         ],
     );
 }
