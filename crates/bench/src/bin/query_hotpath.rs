@@ -1,6 +1,7 @@
 //! Query hot-path benchmark: the compiled read path (flattened arena
 //! rows + branchless Eytzinger directory) versus the oracle assembly
-//! (`Vec<Segment>` + `partition_point` + per-segment heap polynomials).
+//! (`partition_point` over a `Vec<Segment>` + per-segment heap
+//! polynomials).
 //!
 //! This is the operation the paper is about — ns per range-SUM query —
 //! measured for point / short / long ranges at two directory sizes, with
@@ -16,37 +17,29 @@
 //! engine answers are asserted bitwise-equal to the scalar compiled path
 //! (and the oracle) before the JSON is written.
 //!
-//! The parallel batch path (`query_batch_par`) is timed too, for the
-//! ROADMAP trajectory; its speedup is hardware-gated (a 1-CPU box sees
-//! ~1.0×, like the build pipeline — see ROADMAP.md).
-//!
 //! Usage: `cargo run --release -p polyfit-bench --bin query_hotpath
 //!         [--h1 1000] [--h2 100000] [--pts 16] [--queries 4096]
-//!         [--repeats 25] [--threads 4]`
+//!         [--repeats 25]`
 
 use std::fmt::Write as _;
 
 use polyfit::prelude::*;
-use polyfit::SegmentDirectory;
+use polyfit::Segment;
 use polyfit_bench::{arg_usize, fmt_ns, measure_ns, results_dir, ResultsTable};
 use polyfit_exact::dataset::Record;
 
-/// The pre-refactor query path, replayed over the oracle assembly: a
-/// `partition_point` search over `lo_keys`, then a dereference of the
+/// The pre-compilation query path, replayed over the oracle assembly: a
+/// `partition_point` search over the segments, then a dereference of the
 /// owning `Segment` and its heap coefficient vector.
 struct OldPathSum {
-    dir: SegmentDirectory,
+    segs: Vec<Segment>,
     total: f64,
     domain: (f64, f64),
 }
 
 impl OldPathSum {
     fn of(idx: &PolyFitSum) -> Self {
-        OldPathSum {
-            dir: SegmentDirectory::from_segments(idx.segments()),
-            total: idx.total(),
-            domain: idx.domain(),
-        }
+        OldPathSum { segs: idx.segments(), total: idx.total(), domain: idx.domain() }
     }
 
     #[inline]
@@ -57,7 +50,8 @@ impl OldPathSum {
         if k >= self.domain.1 {
             return self.total;
         }
-        self.dir.segment_for(k).expect("k inside the key domain").eval_clamped(k)
+        let i = self.segs.partition_point(|s| s.lo_key <= k).checked_sub(1);
+        self.segs[i.expect("k inside the key domain")].eval_clamped(k)
     }
 
     #[inline]
@@ -122,7 +116,6 @@ struct Row {
     ns_interleaved: f64,
     ns_soa: f64,
     ns_batch: f64,
-    ns_batch_par: f64,
 }
 
 impl Row {
@@ -137,7 +130,6 @@ fn main() {
     let pts = arg_usize("pts", 16).max(2);
     let m = arg_usize("queries", 4_096);
     let repeats = arg_usize("repeats", 25).max(1);
-    let threads = arg_usize("threads", 4);
 
     let mut rows: Vec<Row> = Vec::new();
     let mut bitwise_equal = true;
@@ -163,15 +155,12 @@ fn main() {
         let keys: Vec<f64> = idx.segments().iter().map(|s| s.lo_key).collect();
 
         for w in workloads(&keys, m) {
-            // Equality gate first: per-query, batched, and parallel
-            // batched answers must match the oracle path bit-for-bit.
+            // Equality gate first: per-query and batched answers must
+            // match the oracle path bit-for-bit.
             let batched = idx.query_batch(&w.ranges);
-            let par = idx.query_batch_par(&w.ranges, threads);
             for (q, &(l, u)) in w.ranges.iter().enumerate() {
                 let a = idx.query(l, u).to_bits();
-                let equal = a == old.query(l, u).to_bits()
-                    && a == batched[q].to_bits()
-                    && a == par[q].to_bits();
+                let equal = a == old.query(l, u).to_bits() && a == batched[q].to_bits();
                 if !equal {
                     eprintln!("MISMATCH h={h} {} range ({l}, {u}]", w.name);
                     bitwise_equal = false;
@@ -218,7 +207,6 @@ fn main() {
             let mut ns_interleaved = f64::INFINITY;
             let mut ns_soa = f64::INFINITY;
             let mut ns_batch = f64::INFINITY;
-            let mut ns_batch_par = f64::INFINITY;
             for _ in 0..rounds {
                 // Interleaved column: lockstep descents, scalar Horner —
                 // isolates the descent-overlap win from the lane kernels.
@@ -236,14 +224,11 @@ fn main() {
                 // lane-transposed Horner packs.
                 ns_soa = ns_soa.min(measure_ns(&key_unit, repeats, |ks| dir.locate_eval_batch(ks)));
                 ns_batch = ns_batch.min(measure_ns(&batch_unit, repeats, |r| idx.query_batch(r)));
-                ns_batch_par = ns_batch_par
-                    .min(measure_ns(&batch_unit, repeats, |r| idx.query_batch_par(r, threads)));
             }
             // Per-query normalisation: one range = two endpoint probes.
             ns_interleaved /= m as f64;
             ns_soa /= m as f64;
             ns_batch /= m as f64;
-            ns_batch_par /= m as f64;
             rows.push(Row {
                 h,
                 workload: w.name,
@@ -252,24 +237,13 @@ fn main() {
                 ns_interleaved,
                 ns_soa,
                 ns_batch,
-                ns_batch_par,
             });
         }
     }
 
     let mut table = ResultsTable::new(
         "Query hot path: oracle vs compiled vs batched engine (ns/query)",
-        &[
-            "h",
-            "workload",
-            "old",
-            "compiled",
-            "speedup",
-            "interleaved",
-            "soa",
-            "batch",
-            "batch_par",
-        ],
+        &["h", "workload", "old", "compiled", "speedup", "interleaved", "soa", "batch"],
     );
     for r in &rows {
         table.row(&[
@@ -281,7 +255,6 @@ fn main() {
             fmt_ns(r.ns_interleaved),
             fmt_ns(r.ns_soa),
             fmt_ns(r.ns_batch),
-            fmt_ns(r.ns_batch_par),
         ]);
     }
     println!("{}", table.render());
@@ -301,7 +274,6 @@ fn main() {
     let _ = writeln!(json, "  \"points_per_segment\": {pts},");
     let _ = writeln!(json, "  \"queries\": {m},");
     let _ = writeln!(json, "  \"repeats\": {repeats},");
-    let _ = writeln!(json, "  \"batch_par_threads\": {threads},");
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -309,7 +281,7 @@ fn main() {
             json,
             "    {{\"h\": {}, \"workload\": \"{}\", \"ns_old\": {:.2}, \
              \"ns_compiled\": {:.2}, \"speedup\": {:.4}, \"ns_interleaved\": {:.2}, \
-             \"ns_soa\": {:.2}, \"ns_batch\": {:.2}, \"ns_batch_par\": {:.2}}}{comma}",
+             \"ns_soa\": {:.2}, \"ns_batch\": {:.2}}}{comma}",
             r.h,
             r.workload,
             r.ns_old,
@@ -318,7 +290,6 @@ fn main() {
             r.ns_interleaved,
             r.ns_soa,
             r.ns_batch,
-            r.ns_batch_par,
         );
     }
     json.push_str("  ],\n");

@@ -1,24 +1,21 @@
 //! 2-D query hot-path benchmark: the pointer quadtree walk versus the
-//! compiled patch directory, scalar and batched — ns per rectangle COUNT
-//! on clustered (OSM-like) data at two lattice resolutions.
+//! compiled patch directory — ns per rectangle COUNT on clustered
+//! (OSM-like) data at two lattice resolutions.
 //!
-//! Three columns per workload:
+//! Two columns per workload:
 //!
 //! * `walk` — the oracle path: recursive pointer descent for each of
 //!   the rectangle's 4 corners (`query_walk`).
 //! * `compiled` — flattened cell location (`partition_point` over the
 //!   stored lattice lines) + fixed-stride arena rows, one rectangle at
-//!   a time (`query`).
-//! * `batch` — the sort-and-share sweep (`query_batch`): distinct
-//!   corner abscissae probed once, corner values deduplicated across
-//!   the whole batch.
+//!   a time (`query`). `query_batch` runs this same path per rect.
 //!
-//! Workloads: `random` rectangles (every corner unique — the sweep's
-//! worst case) and `snapped` rectangles whose corners are drawn from a
-//! small shared pool (the dashboard-style case the sweep is built for).
+//! Workloads: `random` rectangles (every corner unique) and `snapped`
+//! rectangles whose corners are drawn from a small shared pool (the
+//! dashboard-style case, where corners repeat across the batch).
 //!
-//! All three paths are asserted **bitwise-equal** before any number is
-//! written. A build-scaling section rebuilds the larger index at 1/2/4
+//! `query`, `query_batch` and the walk are asserted **bitwise-equal**
+//! before any number is written. A build-scaling section rebuilds the larger index at 1/2/4
 //! threads, asserts the serialized bytes identical across thread counts,
 //! and records the wall-clock ratio (hardware-gated: a 1-CPU container
 //! reports ~1.0×; see ROADMAP.md for the multicore re-run recipe).
@@ -67,7 +64,7 @@ fn workloads(bbox: (f64, f64, f64, f64), m: usize) -> Vec<Workload> {
         })
         .collect();
     // Snapped: corners drawn from a 32-per-axis shared pool, so the
-    // sweep's corner dedup collapses most of the evaluation work.
+    // same few cells and rows serve every rect.
     let snap = |t: u64| -> f64 { (t % 33) as f64 / 32.0 };
     let snapped = (0..m)
         .map(|i| {
@@ -86,12 +83,11 @@ struct Row {
     workload: &'static str,
     ns_walk: f64,
     ns_compiled: f64,
-    ns_batch: f64,
 }
 
 impl Row {
-    fn batch_speedup(&self) -> f64 {
-        self.ns_walk / self.ns_batch
+    fn speedup(&self) -> f64 {
+        self.ns_walk / self.ns_compiled
     }
 }
 
@@ -113,7 +109,7 @@ fn main() {
         let idx = QuadPolyFit::build(&points, delta, cfg).expect("build");
 
         for w in workloads(idx.bbox(), m) {
-            // Equality gate first: compiled scalar and batched answers
+            // Equality gate first: compiled per-rect and batch answers
             // must match the pointer walk bit-for-bit.
             let batched = idx.query_batch(&w.rects);
             for (q, &(ul, uh, vl, vh)) in w.rects.iter().enumerate() {
@@ -130,11 +126,9 @@ fn main() {
             // the per-path minimum (shared containers inject spikes).
             measure_ns(&w.rects, 1, |&(ul, uh, vl, vh)| idx.query_walk(ul, uh, vl, vh));
             measure_ns(&w.rects, 1, |&(ul, uh, vl, vh)| idx.query(ul, uh, vl, vh));
-            let batch_unit = [w.rects.clone()];
             let rounds = 7usize;
             let mut ns_walk = f64::INFINITY;
             let mut ns_compiled = f64::INFINITY;
-            let mut ns_batch = f64::INFINITY;
             for _ in 0..rounds {
                 ns_walk = ns_walk.min(measure_ns(&w.rects, repeats, |&(ul, uh, vl, vh)| {
                     idx.query_walk(ul, uh, vl, vh)
@@ -143,10 +137,8 @@ fn main() {
                     ns_compiled.min(measure_ns(&w.rects, repeats, |&(ul, uh, vl, vh)| {
                         idx.query(ul, uh, vl, vh)
                     }));
-                ns_batch = ns_batch.min(measure_ns(&batch_unit, repeats, |r| idx.query_batch(r)));
             }
-            ns_batch /= m as f64; // one timed item held the whole batch
-            rows.push(Row { res, workload: w.name, ns_walk, ns_compiled, ns_batch });
+            rows.push(Row { res, workload: w.name, ns_walk, ns_compiled });
         }
     }
 
@@ -180,20 +172,16 @@ fn main() {
     }
     let build_speedup = build_secs[0] / build_secs[2];
 
-    println!("2-D hot path: pointer walk vs compiled vs batched (ns/rect)");
-    println!(
-        "{:>6} {:>8} {:>10} {:>10} {:>10} {:>9}",
-        "res", "workload", "walk", "compiled", "batch", "speedup"
-    );
+    println!("2-D hot path: pointer walk vs compiled (ns/rect)");
+    println!("{:>6} {:>8} {:>10} {:>10} {:>9}", "res", "workload", "walk", "compiled", "speedup");
     for r in &rows {
         println!(
-            "{:>6} {:>8} {:>10} {:>10} {:>10} {:>8.2}x",
+            "{:>6} {:>8} {:>10} {:>10} {:>8.2}x",
             r.res,
             r.workload,
             fmt_ns(r.ns_walk),
             fmt_ns(r.ns_compiled),
-            fmt_ns(r.ns_batch),
-            r.batch_speedup(),
+            r.speedup(),
         );
     }
     println!(
@@ -203,11 +191,10 @@ fn main() {
     );
 
     // The bench refuses to write numbers for a path that changed answers.
-    assert!(bitwise_equal, "compiled/batched 2-D path diverged from the pointer walk");
+    assert!(bitwise_equal, "compiled 2-D path diverged from the pointer walk");
     assert!(build_bitwise, "parallel build diverged from the serial index bytes");
 
-    let best_large =
-        rows.iter().filter(|r| r.res == res2).map(Row::batch_speedup).fold(0.0f64, f64::max);
+    let best_large = rows.iter().filter(|r| r.res == res2).map(Row::speedup).fold(0.0f64, f64::max);
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"grid_small\": {res1},");
@@ -221,18 +208,16 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"res\": {}, \"workload\": \"{}\", \"ns_walk\": {:.2}, \
-             \"ns_compiled\": {:.2}, \"ns_batch\": {:.2}, \
-             \"batch_vs_walk_speedup\": {:.4}}}{comma}",
+             \"ns_compiled\": {:.2}, \"compiled_vs_walk_speedup\": {:.4}}}{comma}",
             r.res,
             r.workload,
             r.ns_walk,
             r.ns_compiled,
-            r.ns_batch,
-            r.batch_speedup(),
+            r.speedup(),
         );
     }
     json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"batch_vs_walk_speedup_large\": {best_large:.4},");
+    let _ = writeln!(json, "  \"compiled_vs_walk_speedup_large\": {best_large:.4},");
     let _ = writeln!(
         json,
         "  \"build_scaling\": {{\"threads\": [1, 2, 4], \"seconds\": [{:.4}, {:.4}, {:.4}], \
@@ -251,5 +236,5 @@ fn main() {
         Ok(()) => println!("[saved {}]", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
-    println!("best batched-vs-walk speedup at res = {res2}: {best_large:.2}x");
+    println!("best compiled-vs-walk speedup at res = {res2}: {best_large:.2}x");
 }

@@ -368,8 +368,8 @@ pub fn run(cmd: Command) -> Result<(), String> {
             let bytes = fs::read(&index).map_err(|e| format!("cannot read {index}: {e}"))?;
             let text = fs::read_to_string(&batch_file)
                 .map_err(|e| format!("cannot read {batch_file}: {e}"))?;
-            // 2-D indexes take 4-field rectangle rows through the batched
-            // sort-and-share sweep; everything else takes `lo,hi` ranges.
+            // 2-D indexes take 4-field rectangle rows, answered one
+            // compiled rect at a time; everything else takes `lo,hi` ranges.
             if kind_of(&bytes) == Some("quad") {
                 let idx = QuadPolyFit::from_bytes(&bytes).map_err(|e| e.to_string())?;
                 let rects = parse_rects(&text)?;
@@ -385,7 +385,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             }
             let idx = load_index(&bytes).map_err(|e| format!("{index} is {e}"))?;
             let ranges = parse_ranges(&text)?;
-            // One sort-and-share pass over the whole file.
+            // One 8-lane batch engine pass over the whole file.
             let mut out = String::with_capacity(ranges.len() * 16);
             for ans in idx.query_batch(&ranges) {
                 match ans {

@@ -10,9 +10,10 @@
 //! Input CSV: one record per line, `key,measure` (or bare `key` for COUNT
 //! data, measure defaults to 1). Lines starting with `#` and a single
 //! header line of non-numeric text are skipped. Batch files hold one
-//! `lo,hi` range per line; answers are served through one sort-and-share
-//! `query_batch` sweep and print one per line. `--threads 0` (the
-//! default) builds with every available core.
+//! `lo,hi` range per line (`u_lo,u_hi,v_lo,v_hi` for a 2-D index);
+//! answers come from one `query_batch` call — the 8-lane batch engine for
+//! a 1-D index, one compiled rect at a time in 2-D — and print one per
+//! line. `--threads 0` (the default) builds with every available core.
 
 use std::process::ExitCode;
 

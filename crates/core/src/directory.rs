@@ -3,21 +3,17 @@
 //! [`PolyFitSum`](crate::index_sum::PolyFitSum) and
 //! [`PolyFitMax`](crate::index_max::PolyFitMax) both store the same thing:
 //! the segments produced by δ-certified segmentation, plus a search
-//! directory over their `lo_key`s (paper Fig. 6). Two implementations
-//! live here:
-//!
-//! * [`CompiledDirectory`] — the **production read path**. Segments are
-//!   flattened at build time into fixed-stride rows of one contiguous
-//!   arena (`[lo, hi, center, scale, c₀ … c_d]`), so an endpoint
-//!   evaluation touches a single cache line instead of chasing a
-//!   `Segment` struct and its per-segment heap `Vec<f64>`. Lookups run a
-//!   branchless search over an Eytzinger-layout copy of the `lo_key`
-//!   directory, and Horner evaluation is monomorphized per degree,
-//!   selected once at construction.
-//! * [`SegmentDirectory`] — the original `Vec<Segment>` +
-//!   `partition_point` assembly, kept as the **oracle**: property tests
-//!   and the `query_hotpath` benchmark hold the compiled path to
-//!   bitwise-identical answers against it.
+//! directory over their `lo_key`s (paper Fig. 6). [`CompiledDirectory`]
+//! is that directory and the only read path: segments are flattened at
+//! build time into fixed-stride rows of one contiguous arena
+//! (`[lo, hi, center, scale, c₀ … c_d]`), so an endpoint evaluation
+//! touches a single cache line instead of chasing a `Segment` struct and
+//! its per-segment heap `Vec<f64>`. Lookups run a branchless search over
+//! an Eytzinger-layout copy of the `lo_key` directory, and Horner
+//! evaluation is monomorphized per degree, selected once at construction.
+//! Property tests and the `query_hotpath` benchmark hold it to
+//! bitwise-identical answers against a `partition_point` search over the
+//! `Segment`s.
 //!
 //! Compiling is lossless: [`CompiledDirectory::segment`] reconstructs
 //! the exact `Segment` (padding zeros trim back off because stored
@@ -35,9 +31,7 @@
 //! rows into per-coefficient lanes. Every lane evaluates an independent
 //! row with the exact scalar operation order (no re-association, no
 //! FMA), so the engine is held **bitwise-identical** to the scalar
-//! [`CompiledDirectory::locate_eval`] path. The `scalar-hotpath` cargo
-//! feature forces the engine to fall back to the scalar path, proving
-//! the fallback stays green.
+//! [`CompiledDirectory::locate_eval`] path.
 
 use polyfit_lanes::F64x8;
 use polyfit_poly::{Polynomial, ShiftedPolynomial};
@@ -46,100 +40,12 @@ use crate::function::TargetFunction;
 use crate::segment::Segment;
 use crate::segmentation::SegmentSpec;
 
-/// Sorted, tiling polynomial segments plus their search directory — the
-/// reference assembly the compiled read path is verified against.
-#[derive(Clone, Debug)]
-pub struct SegmentDirectory {
-    /// `lo_key` of each segment, ascending — the binary-search directory.
-    lo_keys: Vec<f64>,
-    segments: Vec<Segment>,
-    /// Largest certified error, folded once at construction.
-    max_error: f64,
-    /// Logical serialized size of the segments, folded once at
-    /// construction (the CLI `info` path used to recompute both of these
-    /// O(h) folds on every call).
-    logical_bytes: usize,
-}
-
-impl SegmentDirectory {
-    /// Assemble segments from segmentation output: each spec becomes a
-    /// [`Segment`] carrying its fitted polynomial, certified error, and the
-    /// exact value extrema over its covered points (the per-segment
-    /// aggregates MAX queries and diagnostics rely on).
-    pub fn from_specs(f: &TargetFunction, specs: Vec<SegmentSpec>) -> Self {
-        Self::from_segments(specs.into_iter().map(|spec| segment_from_spec(f, spec)).collect())
-    }
-
-    /// Build the directory over already-assembled segments (the
-    /// deserialization path). Segments must be sorted and tiling.
-    pub fn from_segments(segments: Vec<Segment>) -> Self {
-        let lo_keys = segments.iter().map(|s| s.lo_key).collect();
-        let max_error = segments.iter().fold(0.0f64, |m, s| m.max(s.error));
-        let logical_bytes = segments.iter().map(Segment::logical_size_bytes).sum();
-        SegmentDirectory { lo_keys, segments, max_error, logical_bytes }
-    }
-
-    /// Index of the segment owning `k` — the last segment whose `lo_key`
-    /// is ≤ `k` — or `None` left of the first segment.
-    #[inline]
-    pub fn locate(&self, k: f64) -> Option<usize> {
-        match self.lo_keys.partition_point(|&lo| lo <= k) {
-            0 => None,
-            i => Some(i - 1),
-        }
-    }
-
-    /// The segment owning `k` (see [`Self::locate`]).
-    #[inline]
-    pub fn segment_for(&self, k: f64) -> Option<&Segment> {
-        self.locate(k).map(|i| &self.segments[i])
-    }
-
-    /// Number of segments `h`.
-    pub fn len(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// True when the directory holds no segments.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-
-    /// All segments, ascending by key.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
-    /// Segment at position `i`.
-    #[inline]
-    pub fn get(&self, i: usize) -> &Segment {
-        &self.segments[i]
-    }
-
-    /// Largest certified per-segment error (≤ δ by construction;
-    /// precomputed at construction).
-    pub fn max_certified_error(&self) -> f64 {
-        self.max_error
-    }
-
-    /// Logical serialized size of the segments themselves (directory keys
-    /// are derived from segment bounds, so they cost nothing extra;
-    /// precomputed at construction).
-    pub fn segments_logical_bytes(&self) -> usize {
-        self.logical_bytes
-    }
-
-    /// Per-segment `(value_max, value_min)` aggregates, in segment order —
-    /// the leaves of the MAX index's extrema tree.
-    pub fn extrema_leaves(&self) -> Vec<(f64, f64)> {
-        self.segments.iter().map(|s| (s.value_max, s.value_min)).collect()
-    }
-}
-
 /// Materialise one segmentation spec into a [`Segment`]: fitted
 /// polynomial, certified error, and the exact value extrema over the
-/// covered points. Shared by the bulk assembly above and the incremental
-/// compaction path, which emits segments one bounded step at a time.
+/// covered points (the per-segment aggregates MAX queries and diagnostics
+/// rely on). Shared by [`CompiledDirectory::from_specs`] and the
+/// incremental compaction path, which emits segments one bounded step at
+/// a time.
 pub(crate) fn segment_from_spec(f: &TargetFunction, spec: SegmentSpec) -> Segment {
     let values = &f.values[spec.start..=spec.end];
     let value_max = values.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
@@ -233,8 +139,8 @@ fn eval_row(kernel: HornerKernel, r: &[f64], k: f64) -> f64 {
 /// c₀ … c_{s−1}]` in a single contiguous arena (`s` = the index-wide
 /// maximum coefficient count, ≤ degree + 1; shorter polynomials are
 /// zero-padded). One endpoint evaluation therefore reads one row — a
-/// single cache line for degree ≤ 3 — where the oracle path reads a
-/// `Segment` struct *and* chases its heap-allocated coefficient vector.
+/// single cache line for degree ≤ 3 — where a `Vec<Segment>` search reads
+/// a `Segment` struct *and* chases its heap-allocated coefficient vector.
 ///
 /// Lookups use a branchless search over an Eytzinger (BFS) permutation of
 /// the sorted `lo_key`s: the hot top levels of the implicit tree share a
@@ -263,7 +169,7 @@ pub struct CompiledDirectory {
     /// lockstep descent (`⌊log₂ h⌋ + 1`, or 0 when empty).
     levels: u32,
     /// The row arena: `h` rows of `ROW_HEADER + coeff_stride` floats, in
-    /// sorted segment order (the batch sweep reads it sequentially).
+    /// sorted segment order (`eval` and segment reconstruction).
     rows: Vec<f64>,
     /// The same rows permuted into Eytzinger slot order (slot 0 unused):
     /// the fused point lookup indexes it directly with the predecessor
@@ -287,8 +193,9 @@ pub struct CompiledDirectory {
 }
 
 impl CompiledDirectory {
-    /// Compile segmentation output directly (see
-    /// [`SegmentDirectory::from_specs`] for the spec → segment step).
+    /// Compile segmentation output directly: each spec becomes a
+    /// [`Segment`] carrying its fitted polynomial, certified error and
+    /// value extrema.
     pub fn from_specs(f: &TargetFunction, specs: Vec<SegmentSpec>) -> Self {
         Self::from_segments(specs.into_iter().map(|spec| segment_from_spec(f, spec)).collect())
     }
@@ -371,8 +278,8 @@ impl CompiledDirectory {
     }
 
     /// Index of the segment owning `k` — the last segment whose `lo_key`
-    /// is ≤ `k` — or `None` left of the first segment. Bitwise-equivalent
-    /// to [`SegmentDirectory::locate`].
+    /// is ≤ `k` — or `None` left of the first segment (and for NaN). Equal
+    /// to `lo_keys().partition_point(|&lo| lo <= k).checked_sub(1)`.
     #[inline]
     pub fn locate(&self, k: f64) -> Option<usize> {
         self.upper_rank(k).checked_sub(1)
@@ -385,7 +292,7 @@ impl CompiledDirectory {
     /// (±∞ clamp into the interval like every other key). NaN keys are a
     /// caller error: the query paths resolve them to `None` in
     /// `locate` before ever evaluating, and the padded kernels do
-    /// not reproduce the trimmed oracle's NaN propagation bit-for-bit.
+    /// not reproduce the trimmed polynomial's NaN propagation bit-for-bit.
     #[inline]
     pub fn eval(&self, i: usize, k: f64) -> f64 {
         eval_row(self.kernel, &self.rows[i * self.row_stride..(i + 1) * self.row_stride], k)
@@ -496,9 +403,6 @@ impl CompiledDirectory {
     /// any order and include NaN/±∞; `out[j]` is bitwise-identical to
     /// `locate(keys[j])`.
     pub fn locate_batch(&self, keys: &[f64]) -> Vec<Option<usize>> {
-        if cfg!(feature = "scalar-hotpath") {
-            return keys.iter().map(|&k| self.locate(k)).collect();
-        }
         let mut out = Vec::with_capacity(keys.len());
         let mut groups = keys.chunks_exact(DESCENT_LANES);
         for ks in &mut groups {
@@ -516,9 +420,8 @@ impl CompiledDirectory {
     /// batch query paths dispatch probe groups through. Equivalent to
     /// `keys.iter().map(|&k| self.locate_eval(k))` with every answer
     /// bitwise-identical, but executed as lockstep descent groups feeding
-    /// lane-pack Horner kernels. With the `scalar-hotpath` feature (or a
-    /// `Generic`-kernel directory of degree > 3) evaluation falls back to
-    /// the scalar path per probe.
+    /// lane-pack Horner kernels. A `Generic`-kernel directory (degree > 3)
+    /// evaluates each located lane with the scalar Horner loop.
     pub fn locate_eval_batch(&self, keys: &[f64]) -> Vec<Option<f64>> {
         let mut out = vec![None; keys.len()];
         self.locate_eval_batch_each(keys, &mut |j, v| out[j] = v);
@@ -533,12 +436,6 @@ impl CompiledDirectory {
         keys: &[f64],
         sink: &mut impl FnMut(usize, Option<f64>),
     ) {
-        if cfg!(feature = "scalar-hotpath") {
-            for (j, &k) in keys.iter().enumerate() {
-                sink(j, self.locate_eval(k));
-            }
-            return;
-        }
         let mut base = 0usize;
         while base + DESCENT_LANES <= keys.len() {
             let ks: &[f64; DESCENT_LANES] =
@@ -612,8 +509,9 @@ impl CompiledDirectory {
         self.max_error
     }
 
-    /// Logical serialized size of the segments (precomputed at
-    /// construction; identical to the oracle's accounting).
+    /// Logical serialized size of the segments (directory keys are
+    /// derived from segment bounds, so they cost nothing extra;
+    /// precomputed at construction).
     pub fn segments_logical_bytes(&self) -> usize {
         self.logical_bytes
     }
@@ -711,13 +609,14 @@ mod tests {
         vec![segment(0.0, 10.0), segment(10.0, 20.0), segment(20.0, 30.0)]
     }
 
-    fn directory() -> SegmentDirectory {
-        SegmentDirectory::from_segments(segments())
+    /// The reference locate: the last segment whose `lo_key` is ≤ `k`.
+    fn oracle_locate(segs: &[Segment], k: f64) -> Option<usize> {
+        segs.partition_point(|s| s.lo_key <= k).checked_sub(1)
     }
 
     #[test]
     fn locate_finds_owning_segment() {
-        let d = directory();
+        let d = CompiledDirectory::from_segments(segments());
         assert_eq!(d.locate(-0.1), None);
         assert_eq!(d.locate(0.0), Some(0));
         assert_eq!(d.locate(9.99), Some(0));
@@ -727,27 +626,21 @@ mod tests {
     }
 
     #[test]
-    fn segment_for_matches_locate() {
-        let d = directory();
-        assert!(d.segment_for(-5.0).is_none());
-        assert_eq!(d.segment_for(15.0).unwrap().lo_key, 10.0);
-    }
-
-    #[test]
     fn aggregates_and_sizes() {
-        let d = directory();
+        let d = CompiledDirectory::from_segments(segments());
         assert_eq!(d.len(), 3);
         assert!(!d.is_empty());
         assert_eq!(d.max_certified_error(), 0.25);
         // 3 segments × (2 bounds + 1 coefficient) × 8 bytes.
         assert_eq!(d.segments_logical_bytes(), 3 * 24);
         assert_eq!(d.extrema_leaves(), vec![(1.0, 0.0); 3]);
+        assert_eq!(d.segments().len(), 3);
     }
 
     #[test]
     fn compiled_matches_oracle_locate() {
-        let oracle = directory();
-        let compiled = CompiledDirectory::from_segments(segments());
+        let segs = segments();
+        let compiled = CompiledDirectory::from_segments(segs.clone());
         let probes = [
             f64::NEG_INFINITY,
             -5.0,
@@ -764,7 +657,7 @@ mod tests {
             f64::NAN,
         ];
         for &k in &probes {
-            assert_eq!(compiled.locate(k), oracle.locate(k), "key {k}");
+            assert_eq!(compiled.locate(k), oracle_locate(&segs, k), "key {k}");
         }
     }
 
@@ -814,16 +707,6 @@ mod tests {
         assert_eq!(compiled.locate(f64::NAN), None);
         assert_eq!(compiled.max_certified_error(), 0.0);
         assert_eq!(compiled.segments_logical_bytes(), 0);
-    }
-
-    #[test]
-    fn compiled_aggregates_match_oracle() {
-        let oracle = directory();
-        let compiled = CompiledDirectory::from_segments(segments());
-        assert_eq!(compiled.max_certified_error(), oracle.max_certified_error());
-        assert_eq!(compiled.segments_logical_bytes(), oracle.segments_logical_bytes());
-        assert_eq!(compiled.extrema_leaves(), oracle.extrema_leaves());
-        assert_eq!(compiled.segments().len(), oracle.segments().len());
     }
 
     /// Engine batch vs per-probe scalar reference, bit for bit.
@@ -930,10 +813,9 @@ mod tests {
             segment(2.0, 3.0),
             segment(2.0, 5.0),
         ];
-        let oracle = SegmentDirectory::from_segments(segs.clone());
-        let compiled = CompiledDirectory::from_segments(segs);
+        let compiled = CompiledDirectory::from_segments(segs.clone());
         for &k in &[0.5, 1.0, 1.5, 2.0, 2.5, 10.0] {
-            assert_eq!(compiled.locate(k), oracle.locate(k), "key {k}");
+            assert_eq!(compiled.locate(k), oracle_locate(&segs, k), "key {k}");
         }
         assert_eq!(compiled.locate(1.0), Some(2));
         assert_eq!(compiled.locate(2.0), Some(4));

@@ -278,8 +278,8 @@ impl GuaranteedAvg {
     }
 
     /// Batched [`Self::query`]: both component indexes answer through
-    /// their sort-and-share sweeps; the per-query composition is
-    /// identical, so results match per-range calls bit-for-bit.
+    /// their 8-lane batch engine; the per-query composition is identical,
+    /// so results match per-range calls bit-for-bit.
     pub fn query_batch(&self, ranges: &[(f64, f64)]) -> Vec<Option<AvgAnswer>> {
         let sums = self.sum.query_batch(ranges);
         let counts = self.count.query_batch(ranges);

@@ -13,7 +13,7 @@
 //! When the buffer exceeds its limit, the index is compacted by merging
 //! (LSM-style). Compaction is **incremental and non-blocking**: the
 //! writer stages the merged record set into a generational
-//! [`PendingRebuild`] and then drives the rebuild in bounded steps
+//! `PendingRebuild` and then drives the rebuild in bounded steps
 //! ([`DynamicPolyFitSum::step_compaction`]) — each step emits at most a
 //! budget's worth of refitted points — while inserts and deletes keep
 //! landing in a fresh buffer overlaying the old base. When the shadow
@@ -25,7 +25,7 @@
 //! ## Mergeable segment statistics
 //!
 //! Staging consults the base index's per-segment
-//! [`SegmentStats`](crate::stats::SegmentStats): a segment whose key span
+//! [`SegmentStats`]: a segment whose key span
 //! contains no buffered update is **reused verbatim** — its polynomial is
 //! translated by the delta mass that accumulated in front of it (adding a
 //! constant preserves the minimax residual) and re-certified as the old
@@ -988,8 +988,12 @@ impl DynamicPolyFitSum {
     }
 
     /// Exact buffered contribution to `(lq, uq]` — bitwise-identical to
-    /// a never-compacted index's, even mid-rebuild.
+    /// a never-compacted index's, even mid-rebuild. NaN when a bound is
+    /// NaN, whose order bits can sit past the other bound's.
     fn buffered_sum(&self, lq: f64, uq: f64) -> f64 {
+        if lq.is_nan() || uq.is_nan() {
+            return f64::NAN;
+        }
         let mut acc = 0.0;
         self.for_each_control_entry(
             (Bound::Excluded(ord_bits(lq)), Bound::Included(ord_bits(uq))),
@@ -1000,7 +1004,7 @@ impl DynamicPolyFitSum {
 
     /// Approximate range SUM over `(lq, uq]`: index approximation + exact
     /// buffer contribution. Same `2δ` bound as the static index — before,
-    /// during, and after a shadow compaction.
+    /// during, and after a shadow compaction. A NaN bound answers NaN.
     pub fn query(&self, lq: f64, uq: f64) -> f64 {
         if lq >= uq {
             return 0.0;
@@ -1010,33 +1014,19 @@ impl DynamicPolyFitSum {
     }
 
     /// Batched range SUM: the static base answers all ranges through its
-    /// SIMD-batched descent engine, the buffer contributes exactly per
-    /// range. Bitwise identical to per-range [`Self::query`] calls.
+    /// 8-lane batch engine, the buffer contributes exactly per range.
+    /// Bitwise identical to per-range [`Self::query`] calls (NaN for a
+    /// NaN bound).
     pub fn query_batch(&self, ranges: &[(f64, f64)]) -> Vec<f64> {
         match &self.base {
-            Some(b) => self.combine_batch(ranges, b.query_batch(ranges)),
+            Some(b) => b
+                .query_batch(ranges)
+                .into_iter()
+                .zip(ranges)
+                .map(|(v, &(lq, uq))| if lq >= uq { 0.0 } else { v + self.buffered_sum(lq, uq) })
+                .collect(),
             None => ranges.iter().map(|&(lq, uq)| self.query(lq, uq)).collect(),
         }
-    }
-
-    /// Opt-in parallel batched range SUM: the base index splits the
-    /// ranges across `threads` engine workers
-    /// ([`PolyFitSum::query_batch_par`]); the exact buffer contribution is
-    /// folded in per range afterwards. Bitwise identical to
-    /// [`Self::query_batch`] for any thread count.
-    pub fn query_batch_par(&self, ranges: &[(f64, f64)], threads: usize) -> Vec<f64> {
-        match &self.base {
-            Some(b) => self.combine_batch(ranges, b.query_batch_par(ranges, threads)),
-            None => ranges.iter().map(|&(lq, uq)| self.query(lq, uq)).collect(),
-        }
-    }
-
-    /// Fold the exact buffered contribution into base batch answers.
-    fn combine_batch(&self, ranges: &[(f64, f64)], base: Vec<f64>) -> Vec<f64> {
-        base.into_iter()
-            .zip(ranges)
-            .map(|(v, &(lq, uq))| if lq >= uq { 0.0 } else { v + self.buffered_sum(lq, uq) })
-            .collect()
     }
 
     /// Number of records folded into the static index.
@@ -1552,8 +1542,11 @@ pub struct DynamicSnapshot {
 
 impl DynamicSnapshot {
     /// Exact buffered contribution to `(lq, uq]` — same fold, same
-    /// order, same values as the live index's.
+    /// order, same values as the live index's (NaN for a NaN bound).
     fn buffered_sum(&self, lq: f64, uq: f64) -> f64 {
+        if lq.is_nan() || uq.is_nan() {
+            return f64::NAN;
+        }
         let start = self.entries.partition_point(|&(bits, _)| bits <= ord_bits(lq));
         let end = self.entries.partition_point(|&(bits, _)| bits <= ord_bits(uq));
         let mut acc = 0.0;
@@ -1564,7 +1557,8 @@ impl DynamicSnapshot {
     }
 
     /// Approximate range SUM over `(lq, uq]`, bitwise-identical to
-    /// [`DynamicPolyFitSum::query`] on the source at freeze time.
+    /// [`DynamicPolyFitSum::query`] on the source at freeze time (NaN for
+    /// a NaN bound).
     pub fn query(&self, lq: f64, uq: f64) -> f64 {
         if lq >= uq {
             return 0.0;
@@ -1573,7 +1567,7 @@ impl DynamicSnapshot {
         base + self.buffered_sum(lq, uq)
     }
 
-    /// Batched range SUM through the base's batched descent engine,
+    /// Batched range SUM through the base's 8-lane batch engine,
     /// bitwise-identical to per-range [`Self::query`] calls.
     pub fn query_batch(&self, ranges: &[(f64, f64)]) -> Vec<f64> {
         match &self.base {
@@ -1802,6 +1796,56 @@ mod tests {
         for (l, u) in [(0.0, 9999.0), (1999.0, 4000.0), (2000.0, 2001.0)] {
             let err = (idx.query(l, u) - exact_sum(&shadow, l, u)).abs();
             assert!(err <= 40.0 + 1e-9, "({l}, {u}]: err {err}");
+        }
+    }
+
+    /// The inherent SUM reads answer NaN for a NaN bound (either sign, on
+    /// either side), scalar and batched, with and without a base index
+    /// and with buffered keys on both sides of the range; the finite
+    /// ranges of the same batch keep their per-range answers.
+    #[test]
+    fn nan_bounds_answer_nan_on_every_sum_read() {
+        fn check(what: &str, query: impl Fn(f64, f64) -> f64, batch: &[f64]) {
+            for (i, &(lq, uq)) in RANGES.iter().enumerate() {
+                let one = query(lq, uq);
+                assert_eq!(one.is_nan(), lq.is_nan() || uq.is_nan(), "{what} range {i}");
+                assert_eq!(batch[i].is_nan(), one.is_nan(), "{what} batch range {i}");
+                if !one.is_nan() {
+                    assert_eq!(batch[i].to_bits(), one.to_bits(), "{what} batch range {i}");
+                }
+            }
+        }
+        const RANGES: [(f64, f64); 7] = [
+            (f64::NAN, 10.0),
+            (5.0, f64::NAN),
+            (f64::NAN, f64::NAN),
+            (-f64::NAN, 10.0),
+            (5.0, -f64::NAN),
+            (10.0, 400.0),
+            (-50.0, 1e9),
+        ];
+        let records = base_records(500);
+        let idx = PolyFitSum::build(records.clone(), 5.0, PolyFitConfig::default()).unwrap();
+        assert!(idx.cf(f64::NAN).is_nan());
+        check("static", |l, u| idx.query(l, u), &idx.query_batch(&RANGES));
+        let mut emptied =
+            DynamicPolyFitSum::new(base_records(4), 5.0, PolyFitConfig::default(), 1 << 20)
+                .unwrap();
+        for r in base_records(4) {
+            emptied.delete(r.key, r.measure);
+        }
+        emptied.compact_now();
+        assert!(emptied.base().is_none());
+        let with_base =
+            DynamicPolyFitSum::new(records, 5.0, PolyFitConfig::default(), 1 << 20).unwrap();
+        for mut dynamic in [with_base, emptied] {
+            for k in [-7.0, 7.5, 250.5, 900.0] {
+                dynamic.insert(k, 3.0);
+            }
+            let base = if dynamic.base().is_some() { "with base" } else { "no base" };
+            let snap = dynamic.snapshot();
+            check(base, |l, u| dynamic.query(l, u), &dynamic.query_batch(&RANGES));
+            check(base, |l, u| snap.query(l, u), &snap.query_batch(&RANGES));
         }
     }
 

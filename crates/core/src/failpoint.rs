@@ -24,7 +24,7 @@
 //!   a write, oversize a batch — whatever the site documents).
 //! * `delay(MS)` — sleep, perturbing the schedule without failing.
 //!
-//! A [`Schedule`] is a set of `site=spec` pairs; [`Schedule::random`]
+//! A `Schedule` is a set of `site=spec` pairs; `Schedule::random`
 //! derives one deterministically from a seed (splitmix64), which is how
 //! the proptest harness enumerates worst-case schedules and how a failing
 //! case is replayed: the seed *is* the repro, and

@@ -163,7 +163,8 @@ impl PolyFitSum {
     }
 
     /// Approximate the cumulative function at `k`, within δ at every
-    /// dataset key (and exactly 0 / `total` outside the key domain).
+    /// dataset key (and exactly 0 / `total` outside the key domain). A
+    /// NaN `k` answers NaN.
     #[inline]
     pub fn cf(&self, k: f64) -> f64 {
         if k < self.domain.0 {
@@ -172,11 +173,15 @@ impl PolyFitSum {
         if k >= self.domain.1 {
             return self.total;
         }
-        self.dir.locate_eval(k).expect("k is inside the key domain")
+        // Every key in the domain has an owning segment; only NaN (which
+        // fails both guards above) locates none.
+        self.dir.locate_eval(k).unwrap_or(f64::NAN)
     }
 
     /// Approximate range SUM over `(lq, uq]`: `|answer − exact| ≤ 2δ` at
-    /// dataset-key endpoints (paper Lemma 2 machinery).
+    /// dataset-key endpoints (paper Lemma 2 machinery). A NaN bound
+    /// answers NaN; [`AggregateIndex::query`](crate::AggregateIndex::query)
+    /// answers `None` for it instead.
     #[inline]
     pub fn query(&self, lq: f64, uq: f64) -> f64 {
         if lq >= uq {
@@ -186,12 +191,13 @@ impl PolyFitSum {
     }
 
     /// Batched range SUM: answers every `(lq, uq]` of `ranges`, bitwise
-    /// identical to per-range [`Self::query`] calls.
+    /// identical to per-range [`Self::query`] calls (so a range with a
+    /// NaN bound answers NaN).
     ///
     /// Engine execution: out-of-domain endpoints resolve to the exact
     /// constants `0` / `total` without touching the directory; the
-    /// in-domain endpoints are dense-packed and dispatched through
-    /// [`CompiledDirectory::locate_eval_batch_each`], which runs
+    /// in-domain endpoints are dense-packed and dispatched through the
+    /// engine behind [`CompiledDirectory::locate_eval_batch`], which runs
     /// [`DESCENT_LANES`](crate::directory::DESCENT_LANES) Eytzinger
     /// descents in lockstep (overlapping their dependent cache misses)
     /// and evaluates the located rows with lane-pack Horner kernels. No
@@ -215,48 +221,9 @@ impl PolyFitSum {
             }
         }
         self.dir.locate_eval_batch_each(&keys, &mut |j, v| {
-            cf[slots[j]] = v.expect("k is inside the key domain");
+            cf[slots[j]] = v.unwrap_or(f64::NAN);
         });
         combine_endpoint_cf(ranges, &cf)
-    }
-
-    /// Opt-in parallel batched range SUM: `ranges` is split into
-    /// contiguous chunks and each chunk runs [`Self::query_batch`] (the
-    /// full batched engine) on its own worker under
-    /// `std::thread::scope`. Per-range answers depend only on that
-    /// range's two endpoints, so the concatenation is **bitwise-equal**
-    /// to the serial [`Self::query_batch`] for any thread count.
-    ///
-    /// `threads == 0` resolves to the machine's available parallelism;
-    /// `threads <= 1` (or a batch too small to split) runs the serial
-    /// engine. Note the speedup is hardware-gated: on a box with a single
-    /// CPU of FP throughput this degrades gracefully to ~1.0× (same
-    /// measurement note as the parallel build pipeline in ROADMAP.md).
-    pub fn query_batch_par(&self, ranges: &[(f64, f64)], threads: usize) -> Vec<f64> {
-        // Clamp to `max(1, min(threads, len))`: `threads == 0` resolves
-        // to available parallelism, oversubscription beyond one range per
-        // worker would spawn empty-chunk workers, and an empty batch must
-        // not divide by zero. (The serial floor below subsumes most of
-        // these, but the clamp is the documented contract.)
-        let threads = polyfit_exact::resolve_threads(threads).min(ranges.len()).max(1);
-        // Floor: below a few hundred ranges (or a couple per worker),
-        // thread spawn costs more than the batch itself.
-        if threads <= 1 || ranges.len() < (2 * threads).max(512) {
-            return self.query_batch(ranges);
-        }
-        let chunk_len = ranges.len().div_ceil(threads);
-        let parts: Vec<Vec<f64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = ranges
-                .chunks(chunk_len)
-                .map(|chunk| s.spawn(move || self.query_batch(chunk)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("query worker panicked")).collect()
-        });
-        let mut out = Vec::with_capacity(ranges.len());
-        for part in parts {
-            out.extend(part);
-        }
-        out
     }
 
     /// The δ this index certifies per endpoint.
@@ -489,58 +456,6 @@ mod tests {
             idx.size_bytes(),
             raw_bytes
         );
-    }
-
-    #[test]
-    fn parallel_batch_matches_serial_bitwise() {
-        let idx = PolyFitSum::build(records(6000), 30.0, PolyFitConfig::default()).unwrap();
-        let (d0, d1) = idx.domain();
-        let span = d1 - d0;
-        // Enough ranges to clear the parallelisation floor, endpoints in
-        // and out of the domain, plus inverted and degenerate ranges.
-        let ranges: Vec<(f64, f64)> = (0..3000)
-            .map(|i| {
-                let l = d0 - 10.0 + span * ((i * 37) % 101) as f64 / 99.0;
-                let u = l + span * ((i * 13) % 29) as f64 / 28.0 - 5.0;
-                (l, u)
-            })
-            .collect();
-        let serial = idx.query_batch(&ranges);
-        for threads in [1usize, 2, 4, 7] {
-            let par = idx.query_batch_par(&ranges, threads);
-            assert_eq!(par.len(), serial.len());
-            for (q, (a, b)) in par.iter().zip(&serial).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads {threads}, range {q}");
-            }
-        }
-        // Small batches fall back to the serial sweep.
-        let small = &ranges[..8];
-        let a = idx.query_batch_par(small, 4);
-        let b = idx.query_batch(small);
-        assert_eq!(a, b);
-    }
-
-    /// Edge regression: `threads == 0` (auto), `threads > len`, and an
-    /// empty batch must neither panic nor spawn empty-chunk workers —
-    /// the clamp is `max(1, min(threads, len))`.
-    #[test]
-    fn parallel_batch_edge_thread_counts() {
-        let idx = PolyFitSum::build(records(2000), 20.0, PolyFitConfig::default()).unwrap();
-        assert!(idx.query_batch_par(&[], 0).is_empty());
-        assert!(idx.query_batch_par(&[], 7).is_empty());
-        let ranges: Vec<(f64, f64)> = (0..600).map(|i| (i as f64, i as f64 + 50.0)).collect();
-        let serial = idx.query_batch(&ranges);
-        for threads in [0usize, 1, 601, 10_000, usize::MAX] {
-            let par = idx.query_batch_par(&ranges, threads);
-            assert_eq!(par.len(), serial.len(), "threads {threads}");
-            for (a, b) in par.iter().zip(&serial) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads {threads}");
-            }
-        }
-        // A single range with an absurd thread count degenerates to the
-        // serial sweep.
-        let one = idx.query_batch_par(&ranges[..1], 64);
-        assert_eq!(one[0].to_bits(), serial[0].to_bits());
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod workqueue;
 
 pub use build::{segment_function, BuildOptions, SegmentationMethod};
 pub use config::PolyFitConfig;
-pub use directory::{CompiledDirectory, SegmentDirectory};
+pub use directory::CompiledDirectory;
 pub use drivers::{
     AvgAnswer, GuaranteedAvg, GuaranteedMax, GuaranteedMin, GuaranteedSum, RelAnswer,
 };
@@ -92,9 +92,9 @@ pub use shard::{
 };
 pub use stats::{IndexStats, SegmentStats, SegmentStatsSummary};
 pub use traits::{
-    classify_bounds, classify_rect_bounds, guarded_batch, guarded_batch_rect, AggregateIndex,
-    AggregateIndex2d, AggregateKind, CertifiedRelSum, Guarantee, QueryBounds, RangeAggregate,
-    RelDispatch, RelDispatch2d, SharedIndex,
+    classify_bounds, classify_rect_bounds, guarded_batch, AggregateIndex, AggregateIndex2d,
+    AggregateKind, CertifiedRelSum, Guarantee, QueryBounds, RangeAggregate, RelDispatch,
+    RelDispatch2d, SharedIndex,
 };
 pub use twod::{GridCF, Guaranteed2dCount, Quad2dConfig, QuadPolyFit};
 pub use twod_directory::TwodDirectory;

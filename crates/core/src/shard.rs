@@ -39,7 +39,7 @@
 //!   Later reads of the handle defer behind an unresolved one, so its
 //!   answers never go back in time. A split or merge hands the positions
 //!   of the stragglers it forwards on to the successor shards.
-//! * **Epoch-published snapshots.** The routing table ([`Layout`]) and
+//! * **Epoch-published snapshots.** The routing table (`Layout`) and
 //!   every shard's frozen view ([`DynamicSnapshot`]) are published
 //!   through [`crate::epoch`]: compaction swaps and shard rebalances are
 //!   a pointer publish, wait-free for readers, with grace-period

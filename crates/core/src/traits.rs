@@ -192,34 +192,6 @@ pub fn guarded_batch(
         .collect()
 }
 
-/// [`guarded_batch`] for rectangle batches: contract-degenerate rects are
-/// answered without touching the index (`None` for non-finite, `empty` for
-/// reversed/empty rectangles), proper rects pass to `run` in their
-/// original relative order, and the results are spliced back
-/// positionally. All-proper batches take a zero-copy fast path.
-pub fn guarded_batch_rect(
-    rects: &[(f64, f64, f64, f64)],
-    empty: Option<RangeAggregate>,
-    run: impl FnOnce(&[(f64, f64, f64, f64)]) -> Vec<Option<RangeAggregate>>,
-) -> Vec<Option<RangeAggregate>> {
-    let proper = |&(a, b, c, d): &(f64, f64, f64, f64)| {
-        classify_rect_bounds(a, b, c, d) == QueryBounds::Proper
-    };
-    if rects.iter().all(proper) {
-        return run(rects);
-    }
-    let kept: Vec<(f64, f64, f64, f64)> = rects.iter().copied().filter(proper).collect();
-    let mut inner = run(&kept).into_iter();
-    rects
-        .iter()
-        .map(|&(a, b, c, d)| match classify_rect_bounds(a, b, c, d) {
-            QueryBounds::NonFinite => None,
-            QueryBounds::Reversed => empty,
-            QueryBounds::Proper => inner.next().expect("one inner answer per proper rect"),
-        })
-        .collect()
-}
-
 /// A built range-aggregate index over single-key records.
 ///
 /// Object safe: harnesses and the CLI dispatch over `&dyn AggregateIndex`,
@@ -242,29 +214,15 @@ pub trait AggregateIndex {
     /// Answer a batch of range aggregates: element `i` equals
     /// `self.query(ranges[i].0, ranges[i].1)` bit-for-bit.
     ///
-    /// The default loops over [`Self::query`]; PolyFit indexes override
-    /// it to dispatch the batch through the compiled directory's
-    /// SIMD-batched descent engine (lockstep interleaved lookups +
-    /// lane-pack Horner evaluation), which is how heavy query traffic
-    /// should be served.
+    /// The default loops over [`Self::query`]. The 1-D PolyFit indexes
+    /// override it to dispatch the batch through the compiled directory's
+    /// 8-lane engine (lockstep interleaved lookups + lane-pack Horner
+    /// evaluation), which is how heavy query traffic should be served;
+    /// the exact structures override it with
+    /// [`batch_ranks`](polyfit_exact::dataset::batch_ranks)' sorted
+    /// shared cursor.
     fn query_batch(&self, ranges: &[(f64, f64)]) -> Vec<Option<RangeAggregate>> {
         ranges.iter().map(|&(lq, uq)| self.query(lq, uq)).collect()
-    }
-
-    /// Opt-in parallel batch execution: answers equal [`Self::query_batch`]
-    /// bit-for-bit, with the batch split across up to `threads` engine
-    /// workers (`0` = available parallelism) where the structure
-    /// supports it. The default ignores `threads` and runs the serial
-    /// batch, so every implementation is automatically correct; PolyFit
-    /// SUM indexes override it with scoped-thread chunks. The speedup is
-    /// hardware-gated — a box with one CPU of FP throughput sees ~1.0×.
-    fn query_batch_par(
-        &self,
-        ranges: &[(f64, f64)],
-        threads: usize,
-    ) -> Vec<Option<RangeAggregate>> {
-        let _ = threads;
-        self.query_batch(ranges)
     }
 
     /// Logical serialized size in bytes (the paper's Fig. 19 metric).
@@ -332,20 +290,6 @@ impl AggregateIndex for PolyFitSum {
         let bound = 2.0 * self.delta();
         guarded_batch(ranges, Some(RangeAggregate::absolute(0.0, bound)), |proper| {
             PolyFitSum::query_batch(self, proper)
-                .into_iter()
-                .map(|v| Some(RangeAggregate::absolute(v, bound)))
-                .collect()
-        })
-    }
-
-    fn query_batch_par(
-        &self,
-        ranges: &[(f64, f64)],
-        threads: usize,
-    ) -> Vec<Option<RangeAggregate>> {
-        let bound = 2.0 * self.delta();
-        guarded_batch(ranges, Some(RangeAggregate::absolute(0.0, bound)), |proper| {
-            PolyFitSum::query_batch_par(self, proper, threads)
                 .into_iter()
                 .map(|v| Some(RangeAggregate::absolute(v, bound)))
                 .collect()
@@ -441,20 +385,6 @@ impl AggregateIndex for DynamicPolyFitSum {
         })
     }
 
-    fn query_batch_par(
-        &self,
-        ranges: &[(f64, f64)],
-        threads: usize,
-    ) -> Vec<Option<RangeAggregate>> {
-        let bound = 2.0 * self.delta();
-        guarded_batch(ranges, Some(RangeAggregate::absolute(0.0, bound)), |proper| {
-            DynamicPolyFitSum::query_batch_par(self, proper, threads)
-                .into_iter()
-                .map(|v| Some(RangeAggregate::absolute(v, bound)))
-                .collect()
-        })
-    }
-
     fn size_bytes(&self) -> usize {
         // Base segments plus the buffered (key, Δmeasure) pairs.
         self.base().map_or(0, |b| b.size_bytes()) + self.buffered() * 2 * std::mem::size_of::<f64>()
@@ -533,21 +463,6 @@ impl AggregateIndex for GuaranteedSum {
         guarded_batch(ranges, Some(RangeAggregate::absolute(0.0, bound)), |proper| {
             self.index()
                 .query_batch(proper)
-                .into_iter()
-                .map(|v| Some(RangeAggregate::absolute(v, bound)))
-                .collect()
-        })
-    }
-
-    fn query_batch_par(
-        &self,
-        ranges: &[(f64, f64)],
-        threads: usize,
-    ) -> Vec<Option<RangeAggregate>> {
-        let bound = 2.0 * self.index().delta();
-        guarded_batch(ranges, Some(RangeAggregate::absolute(0.0, bound)), |proper| {
-            self.index()
-                .query_batch_par(proper, threads)
                 .into_iter()
                 .map(|v| Some(RangeAggregate::absolute(v, bound)))
                 .collect()
@@ -801,16 +716,8 @@ macro_rules! delegate_aggregate_index {
 
             fn query_batch(&self, ranges: &[(f64, f64)]) -> Vec<Option<RangeAggregate>> {
                 // Forwarded explicitly so pointer wrappers keep the
-                // pointee's sort-and-share override.
+                // pointee's batched override.
                 (**self).query_batch(ranges)
-            }
-
-            fn query_batch_par(
-                &self,
-                ranges: &[(f64, f64)],
-                threads: usize,
-            ) -> Vec<Option<RangeAggregate>> {
-                (**self).query_batch_par(ranges, threads)
             }
 
             fn size_bytes(&self) -> usize {
@@ -843,13 +750,6 @@ macro_rules! delegate_aggregate_index_2d {
                 v_hi: f64,
             ) -> Option<RangeAggregate> {
                 (**self).query_rect(u_lo, u_hi, v_lo, v_hi)
-            }
-
-            fn query_batch_rect(
-                &self,
-                rects: &[(f64, f64, f64, f64)],
-            ) -> Vec<Option<RangeAggregate>> {
-                (**self).query_batch_rect(rects)
             }
 
             fn size_bytes(&self) -> usize {
@@ -951,9 +851,10 @@ impl<I: AggregateIndex, E: AggregateIndex> AggregateIndex for CertifiedRelSum<I,
     }
 
     fn query_batch(&self, ranges: &[(f64, f64)]) -> Vec<Option<RangeAggregate>> {
-        // The approximate index answers the whole batch through its
-        // sort-and-share path; only certificate failures touch the exact
-        // structure, one by one (they are the rare case by design).
+        // The approximate index answers the whole batch through its own
+        // `query_batch` (the 8-lane engine for a PolyFit index); only
+        // certificate failures touch the exact structure, one by one
+        // (they are the rare case by design).
         let threshold = 2.0 * self.delta * (1.0 + 1.0 / self.eps_rel);
         self.approx
             .query_batch(ranges)
@@ -1123,16 +1024,6 @@ impl AggregateIndex2d for QuadPolyFit {
         }
     }
 
-    fn query_batch_rect(&self, rects: &[(f64, f64, f64, f64)]) -> Vec<Option<RangeAggregate>> {
-        let bound = 4.0 * self.delta();
-        guarded_batch_rect(rects, Some(RangeAggregate::absolute(0.0, bound)), |proper| {
-            QuadPolyFit::query_batch(self, proper)
-                .into_iter()
-                .map(|v| Some(RangeAggregate::absolute(v, bound)))
-                .collect()
-        })
-    }
-
     fn size_bytes(&self) -> usize {
         QuadPolyFit::size_bytes(self)
     }
@@ -1162,17 +1053,6 @@ impl AggregateIndex2d for Guaranteed2dCount {
                 4.0 * self.index().delta(),
             )),
         }
-    }
-
-    fn query_batch_rect(&self, rects: &[(f64, f64, f64, f64)]) -> Vec<Option<RangeAggregate>> {
-        let bound = 4.0 * self.index().delta();
-        guarded_batch_rect(rects, Some(RangeAggregate::absolute(0.0, bound)), |proper| {
-            self.index()
-                .query_batch(proper)
-                .into_iter()
-                .map(|v| Some(RangeAggregate::absolute(v, bound)))
-                .collect()
-        })
     }
 
     fn size_bytes(&self) -> usize {
@@ -1218,27 +1098,6 @@ impl AggregateIndex2d for RelDispatch2d {
                 Some(RangeAggregate::relative(ans.value, self.eps_rel, ans.used_fallback))
             }
         }
-    }
-
-    fn query_batch_rect(&self, rects: &[(f64, f64, f64, f64)]) -> Vec<Option<RangeAggregate>> {
-        // Raw approximations come from the shared-corner sweep; the
-        // Lemma 7 certificate-or-fallback decision then runs per rect
-        // through the same helper as the scalar path, so answers match
-        // `query_rect` bit for bit.
-        guarded_batch_rect(rects, Some(RangeAggregate::relative(0.0, self.eps_rel, true)), {
-            |proper| {
-                self.driver
-                    .index()
-                    .query_batch(proper)
-                    .into_iter()
-                    .zip(proper)
-                    .map(|(approx, &rect)| {
-                        let ans = self.driver.rel_answer(approx, rect, self.eps_rel);
-                        Some(RangeAggregate::relative(ans.value, self.eps_rel, ans.used_fallback))
-                    })
-                    .collect()
-            }
-        })
     }
 
     fn size_bytes(&self) -> usize {
@@ -1390,7 +1249,6 @@ mod tests {
             (7.0, 7.0),
         ];
         let batch = dyn_idx.query_batch(&ranges);
-        let par = dyn_idx.query_batch_par(&ranges, 3);
         assert_eq!(batch.len(), ranges.len());
         for (i, &(lo, hi)) in ranges.iter().enumerate() {
             let single = dyn_idx.query(lo, hi);
@@ -1398,11 +1256,6 @@ mod tests {
                 batch[i].map(|a| a.value.to_bits()),
                 single.map(|a| a.value.to_bits()),
                 "range {i}"
-            );
-            assert_eq!(
-                par[i].map(|a| a.value.to_bits()),
-                single.map(|a| a.value.to_bits()),
-                "par range {i}"
             );
         }
         assert!(batch[1].is_none() && batch[4].is_none(), "non-finite ⇒ None");

@@ -478,11 +478,10 @@ impl QuadPolyFit {
             + self.cf_walk(u_lo, v_lo)
     }
 
-    /// Batched rectangle COUNT: element `i` equals `self.query(rects[i])`
-    /// bit for bit, executed by the compiled directory's sort-and-share
-    /// sweep (shared corner evaluations across overlapping rects).
+    /// Batched rectangle COUNT: element `i` is `self.query(rects[i])`,
+    /// one compiled rect at a time.
     pub fn query_batch(&self, rects: &[(f64, f64, f64, f64)]) -> Vec<f64> {
-        self.compiled.query_batch_rect(rects)
+        rects.iter().map(|&(a, b, c, d)| self.query(a, b, c, d)).collect()
     }
 
     /// The compiled read-path directory.
@@ -815,31 +814,9 @@ impl Guaranteed2dCount {
         self.index.query(u_lo, u_hi, v_lo, v_hi)
     }
 
-    /// Turn one approximate COUNT into the Lemma 7 answer: keep it when
-    /// the certificate `A ≥ 4δ(1 + 1/ε_rel)` holds, otherwise fall back
-    /// to the exact aggregate R-tree. Shared by the scalar and batched
-    /// relative paths so both make the identical decision.
-    pub(crate) fn rel_answer(
-        &self,
-        approx: f64,
-        rect: (f64, f64, f64, f64),
-        eps_rel: f64,
-    ) -> crate::drivers::RelAnswer {
-        let threshold = 4.0 * self.index.delta() * (1.0 + 1.0 / eps_rel);
-        if approx >= threshold {
-            crate::drivers::RelAnswer { value: approx, used_fallback: false }
-        } else {
-            let exact =
-                self.exact.as_ref().expect("relative-guarantee driver requires the exact fallback");
-            let r = polyfit_exact::artree::Rect::new(rect.0, rect.1, rect.2, rect.3);
-            // Closed-rectangle count; boundary-coincident points are
-            // measure-zero for continuous workloads.
-            crate::drivers::RelAnswer { value: exact.range_count(&r) as f64, used_fallback: true }
-        }
-    }
-
     /// Relative-guarantee rectangle COUNT: certificate
-    /// `A ≥ 4δ(1 + 1/ε_rel)` (Lemma 7), exact fallback otherwise.
+    /// `A ≥ 4δ(1 + 1/ε_rel)` (Lemma 7), exact aggregate R-tree fallback
+    /// otherwise.
     pub fn query_rel(
         &self,
         u_lo: f64,
@@ -849,8 +826,18 @@ impl Guaranteed2dCount {
         eps_rel: f64,
     ) -> crate::drivers::RelAnswer {
         assert!(eps_rel > 0.0, "relative error must be positive");
-        let a = self.index.query(u_lo, u_hi, v_lo, v_hi);
-        self.rel_answer(a, (u_lo, u_hi, v_lo, v_hi), eps_rel)
+        let approx = self.index.query(u_lo, u_hi, v_lo, v_hi);
+        let threshold = 4.0 * self.index.delta() * (1.0 + 1.0 / eps_rel);
+        if approx >= threshold {
+            crate::drivers::RelAnswer { value: approx, used_fallback: false }
+        } else {
+            let exact =
+                self.exact.as_ref().expect("relative-guarantee driver requires the exact fallback");
+            let r = polyfit_exact::artree::Rect::new(u_lo, u_hi, v_lo, v_hi);
+            // Closed-rectangle count; boundary-coincident points are
+            // measure-zero for continuous workloads.
+            crate::drivers::RelAnswer { value: exact.range_count(&r) as f64, used_fallback: true }
+        }
     }
 
     /// The underlying quadtree index.

@@ -28,15 +28,8 @@
 //! Rectangle queries are four corner CF evaluations (inclusion–exclusion).
 //! [`TwodDirectory::query_rect`] fuses them: each axis coordinate is
 //! probed (domain-classified, clamped, located) once and shared by the two
-//! corners that use it. [`TwodDirectory::query_batch_rect`] extends the
-//! sharing across a whole batch with a sort-and-share sweep: distinct
-//! corner coordinates are deduplicated by bit pattern, probed once,
-//! distinct `(u, v)` corners are evaluated once, and per-rect answers are
-//! recombined in the scalar operation order — overlapping rect workloads
-//! (tiling dashboards, sliding heatmap windows) collapse their shared
-//! corners to single evaluations. With the `scalar-hotpath` feature the
-//! batch entry point degrades to the per-rect scalar loop, bitwise
-//! identical either way.
+//! corners that use it. Batches run this fused path one rect at a time
+//! ([`crate::twod::QuadPolyFit::query_batch`]).
 
 use polyfit_poly::{monomials, BivariatePoly};
 
@@ -44,10 +37,6 @@ use crate::twod::Lattice;
 
 /// Row layout: `[cu, su, cv, sv]` then the coefficients.
 const ROW_HEADER: usize = 4;
-
-/// Below this many rects the sweep's sort/dedup bookkeeping costs more
-/// than it shares; `query_batch_rect` falls back to the scalar loop.
-pub const RECT_SWEEP_MIN: usize = 8;
 
 /// A certified quadtree leaf with its lattice-cell range, as handed to
 /// [`TwodDirectory::compile`]. The range is over unit cells: the leaf
@@ -92,8 +81,8 @@ impl BivarKernel {
 }
 
 /// Per-axis probe of one query coordinate: domain classification, the
-/// clamped coordinate, and the located unit cell. Computing this once per
-/// distinct coordinate is what the fused and batched paths share.
+/// clamped coordinate, and the located unit cell. The fused rect path
+/// computes it once per coordinate and shares it between two corners.
 #[derive(Clone, Copy, Debug)]
 struct AxisProbe {
     /// Strictly below the domain (CF is exactly 0 there).
@@ -314,92 +303,5 @@ impl TwodDirectory {
         let (pvl, pvh) = (self.probe_v(v_lo), self.probe_v(v_hi));
         self.corner(puh, pvh) - self.corner(pul, pvh) - self.corner(puh, pvl)
             + self.corner(pul, pvl)
-    }
-
-    /// Batched rectangle COUNT: element `i` equals
-    /// `self.query_rect(rects[i])` bit for bit.
-    ///
-    /// The sort-and-share sweep deduplicates work across the batch:
-    /// distinct axis coordinates (by bit pattern) are probed once,
-    /// distinct `(u, v)` corners are evaluated once, and each rect
-    /// recombines its four shared corner values in the scalar operation
-    /// order. Degenerate rects (`lo ≥ hi` on either axis) answer `0.0`
-    /// without touching the arena, exactly like the scalar path; NaN and
-    /// infinite coordinates flow through the same probe logic as scalar
-    /// queries and therefore reproduce their answers. Small batches and
-    /// `scalar-hotpath` builds use the scalar loop.
-    pub fn query_batch_rect(&self, rects: &[(f64, f64, f64, f64)]) -> Vec<f64> {
-        if cfg!(feature = "scalar-hotpath") || rects.len() < RECT_SWEEP_MIN {
-            return rects.iter().map(|&(a, b, c, d)| self.query_rect(a, b, c, d)).collect();
-        }
-        use std::collections::HashMap;
-        let proper = |&(ul, uh, vl, vh): &(f64, f64, f64, f64)| !(ul >= uh || vl >= vh);
-
-        // Pass A: distinct axis coordinates, sorted by total order so the
-        // probe sweep visits the lattice monotonically.
-        let mut ucoords: Vec<f64> = Vec::with_capacity(rects.len() * 2);
-        let mut vcoords: Vec<f64> = Vec::with_capacity(rects.len() * 2);
-        for r in rects.iter().filter(|r| proper(r)) {
-            ucoords.extend_from_slice(&[r.0, r.1]);
-            vcoords.extend_from_slice(&[r.2, r.3]);
-        }
-        let dedup_sorted = |coords: &mut Vec<f64>| {
-            coords.sort_by(f64::total_cmp);
-            coords.dedup_by(|a, b| a.to_bits() == b.to_bits());
-        };
-        dedup_sorted(&mut ucoords);
-        dedup_sorted(&mut vcoords);
-        let uprobes: Vec<AxisProbe> = ucoords.iter().map(|&u| self.probe_u(u)).collect();
-        let vprobes: Vec<AxisProbe> = vcoords.iter().map(|&v| self.probe_v(v)).collect();
-        let index_of = |coords: &[f64]| -> HashMap<u64, u32> {
-            coords.iter().enumerate().map(|(i, c)| (c.to_bits(), i as u32)).collect()
-        };
-        let (umap, vmap) = (index_of(&ucoords), index_of(&vcoords));
-
-        // Pass B: distinct (u, v) corners, first-seen order.
-        let mut corner_ids: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut corners: Vec<(u32, u32)> = Vec::new();
-        let mut intern = |ui: u32, vi: u32, corners: &mut Vec<(u32, u32)>| -> u32 {
-            *corner_ids.entry((ui, vi)).or_insert_with(|| {
-                corners.push((ui, vi));
-                (corners.len() - 1) as u32
-            })
-        };
-        // Corner order per rect mirrors the scalar inclusion–exclusion:
-        // (uh,vh), (ul,vh), (uh,vl), (ul,vl).
-        let mut plan: Vec<Option<[u32; 4]>> = Vec::with_capacity(rects.len());
-        for r in rects {
-            if !proper(r) {
-                plan.push(None);
-                continue;
-            }
-            let ul = umap[&r.0.to_bits()];
-            let uh = umap[&r.1.to_bits()];
-            let vl = vmap[&r.2.to_bits()];
-            let vh = vmap[&r.3.to_bits()];
-            plan.push(Some([
-                intern(uh, vh, &mut corners),
-                intern(ul, vh, &mut corners),
-                intern(uh, vl, &mut corners),
-                intern(ul, vl, &mut corners),
-            ]));
-        }
-
-        // Pass C: evaluate each distinct corner once.
-        let cvals: Vec<f64> = corners
-            .iter()
-            .map(|&(ui, vi)| self.corner(uprobes[ui as usize], vprobes[vi as usize]))
-            .collect();
-
-        // Pass D: recombine per rect in the scalar operation order.
-        plan.into_iter()
-            .map(|p| match p {
-                None => 0.0,
-                Some([hh, lh, hl, ll]) => {
-                    cvals[hh as usize] - cvals[lh as usize] - cvals[hl as usize]
-                        + cvals[ll as usize]
-                }
-            })
-            .collect()
     }
 }

@@ -18,14 +18,14 @@
 //!   so every state a reader can observe is on disk.
 //! * **Checkpoints.** `<dir>/<name>.ckpt` holds the full serialized index
 //!   (the PFD2 format) in a container (`PFC2`) that adds the replay cursor
-//!   and a word-wise [`Checksum`] of everything after it — frames and
+//!   and a word-wise `Checksum` of everything after it — frames and
 //!   layout files keep FNV-1a, whose byte-at-a-time multiply chain would
 //!   dominate a recovery over megabytes of checkpoint. A checkpoint is due
 //!   at every [`CHECKPOINT_EVERY`]-th compaction swap. At such a swap the
 //!   journal switches to the next segment, a zero-filled file prepared in
 //!   advance, and writes the swap record at its head. A sharded server
 //!   hands the post-swap state (the `Arc`-shared base and record run plus
-//!   the buffered deltas) to its [`Checkpointer`] thread, which streams the
+//!   the buffered deltas) to its `Checkpointer` thread, which streams the
 //!   checkpoint into a temp file, fences it, renames it over `<name>.ckpt`,
 //!   fsyncs the directory, deletes the segments the checkpoint supersedes
 //!   and prepares the next segment. The shard worker does no checkpoint
@@ -364,7 +364,7 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
 /// The I/O surface the journal needs from its log file — the seam the
 /// fault-injection harness plugs into. Production code uses [`RealFile`]
 /// (an inlined pass-through over [`File`]); with the `failpoints` feature
-/// the journal is built over [`FaultFile`] instead, which consults the
+/// the journal is built over `FaultFile` instead, which consults the
 /// failpoint registry on every operation and can inject write/fsync
 /// errors, short (torn) writes, and misdirected or duplicated segment
 /// writes. The concrete type is chosen at compile time ([`LogFile`]), so
@@ -595,7 +595,7 @@ pub struct WalScan {
     pub file_len: u64,
     /// `true` when everything past `valid_len` is zero bytes — the
     /// untouched remainder of a preallocated log segment (see
-    /// [`PREALLOC_CHUNK`]), not crash damage. A valid frame can never be
+    /// `PREALLOC_CHUNK`), not crash damage. A valid frame can never be
     /// all-zeros (the FNV-1a checksum of any payload is nonzero), so the
     /// distinction is unambiguous.
     pub zero_tail: bool,

@@ -1,5 +1,5 @@
 //! Property-based equivalence of the compiled query hot path against the
-//! oracle assembly (`SegmentDirectory` + `partition_point` +
+//! oracle assembly (`partition_point` over a `Vec<Segment>` +
 //! per-segment `Segment::eval_clamped`).
 //!
 //! The compiled path ([`polyfit::CompiledDirectory`]) replaces the sorted
@@ -14,9 +14,15 @@
 use proptest::prelude::*;
 
 use polyfit::prelude::*;
-use polyfit::{CompiledDirectory, Segment, SegmentDirectory};
+use polyfit::{CompiledDirectory, Segment};
 use polyfit_exact::dataset::Record;
 use polyfit_poly::{Polynomial, ShiftedPolynomial};
+
+/// The reference locate: the last segment whose `lo_key` is ≤ `k`, or
+/// `None` left of the first segment (and for NaN).
+fn oracle_locate(segs: &[Segment], k: f64) -> Option<usize> {
+    segs.partition_point(|s| s.lo_key <= k).checked_sub(1)
+}
 
 /// Next representable f64 above `x` (for finite non-NaN `x`), without
 /// relying on the unstable-era `f64::next_up`.
@@ -110,12 +116,11 @@ proptest! {
         steps in proptest::collection::vec((0u8..4, 0u8..40, -9i8..9), 1..80),
     ) {
         let segs = segments_from_steps(&steps);
-        let oracle = SegmentDirectory::from_segments(segs.clone());
         let compiled = CompiledDirectory::from_segments(segs.clone());
-        prop_assert_eq!(compiled.len(), oracle.len());
+        prop_assert_eq!(compiled.len(), segs.len());
 
         for &k in &probes_for(&segs) {
-            prop_assert_eq!(compiled.locate(k), oracle.locate(k), "locate({})", k);
+            prop_assert_eq!(compiled.locate(k), oracle_locate(&segs, k), "locate({})", k);
         }
 
         // Per-segment evaluation and reconstruction are exact.
@@ -133,10 +138,13 @@ proptest! {
             prop_assert_eq!(back.hi_key.to_bits(), s.hi_key.to_bits());
         }
 
-        // Precomputed folds agree with the oracle's.
-        prop_assert_eq!(compiled.max_certified_error(), oracle.max_certified_error());
-        prop_assert_eq!(compiled.segments_logical_bytes(), oracle.segments_logical_bytes());
-        prop_assert_eq!(compiled.extrema_leaves(), oracle.extrema_leaves());
+        // Precomputed folds agree with per-segment folds.
+        let max_error = segs.iter().fold(0.0f64, |m, s| m.max(s.error));
+        let logical_bytes: usize = segs.iter().map(Segment::logical_size_bytes).sum();
+        let extrema: Vec<(f64, f64)> = segs.iter().map(|s| (s.value_max, s.value_min)).collect();
+        prop_assert_eq!(compiled.max_certified_error(), max_error);
+        prop_assert_eq!(compiled.segments_logical_bytes(), logical_bytes);
+        prop_assert_eq!(compiled.extrema_leaves(), extrema);
     }
 
     /// The SIMD-batched engine (`locate_eval_batch` / `locate_batch`) is
@@ -144,7 +152,7 @@ proptest! {
     /// adversarial directories — duplicate `lo_key`s, one-ULP tilings,
     /// ±0.0 boundaries — with NaN/±∞ probes mixed into the batch, batch
     /// sizes that do not divide the lane count, and tiny directories with
-    /// h < K. The oracle directory referees both paths.
+    /// h < K. The `partition_point` oracle referees both paths.
     #[test]
     fn batched_engine_matches_scalar_bitwise(
         steps in proptest::collection::vec((0u8..4, 0u8..40, -9i8..9), 1..48),
@@ -152,7 +160,6 @@ proptest! {
         truncate in 0usize..17,
     ) {
         let segs = segments_from_steps(&steps);
-        let oracle = SegmentDirectory::from_segments(segs.clone());
         let compiled = CompiledDirectory::from_segments(segs.clone());
 
         // Scramble probe order (rotation keeps NaN/±∞ at varying lane
@@ -175,11 +182,12 @@ proptest! {
                 ),
                 (b, s) => prop_assert_eq!(b, s, "probe {} (key {})", j, k),
             }
-            prop_assert_eq!(locs[j], oracle.locate(k), "locate probe {} (key {})", j, k);
+            let located = oracle_locate(&segs, k);
+            prop_assert_eq!(locs[j], located, "locate probe {} (key {})", j, k);
             // The fused scalar reference itself matches the oracle
             // assembly on non-NaN probes (NaN short-circuits to None in
             // both paths before evaluation).
-            if let Some(i) = oracle.locate(k) {
+            if let Some(i) = located {
                 prop_assert_eq!(
                     scalar.expect("located probes evaluate").to_bits(),
                     segs[i].eval_clamped(k).to_bits(),
@@ -192,22 +200,18 @@ proptest! {
     }
 }
 
-/// The pre-refactor SUM query path, replayed over the oracle assembly:
+/// The pre-compilation SUM query path, replayed over the oracle assembly:
 /// `partition_point` locate + `Segment::eval_clamped`, with the same
 /// domain-edge short-circuits as `PolyFitSum::cf`.
 struct OracleSum {
-    dir: SegmentDirectory,
+    segs: Vec<Segment>,
     total: f64,
     domain: (f64, f64),
 }
 
 impl OracleSum {
     fn of(idx: &PolyFitSum) -> Self {
-        OracleSum {
-            dir: SegmentDirectory::from_segments(idx.segments()),
-            total: idx.total(),
-            domain: idx.domain(),
-        }
+        OracleSum { segs: idx.segments(), total: idx.total(), domain: idx.domain() }
     }
 
     fn cf(&self, k: f64) -> f64 {
@@ -217,7 +221,8 @@ impl OracleSum {
         if k >= self.domain.1 {
             return self.total;
         }
-        self.dir.segment_for(k).expect("k inside the key domain").eval_clamped(k)
+        let i = oracle_locate(&self.segs, k).expect("k inside the key domain");
+        self.segs[i].eval_clamped(k)
     }
 
     fn query(&self, lq: f64, uq: f64) -> f64 {
@@ -243,8 +248,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The compiled SUM index answers bitwise-identically to the oracle
-    /// path, per-query, batched, and parallel-batched; the PFS2
-    /// round-trip preserves that equality.
+    /// path, per-query and batched; the PFS2 round-trip preserves that
+    /// equality.
     #[test]
     fn sum_queries_match_oracle_bitwise(
         n in 50usize..900,
@@ -270,12 +275,10 @@ proptest! {
         let oracle = OracleSum::of(&idx);
         let ranges = range_probes(idx.domain(), 64);
         let batched = idx.query_batch(&ranges);
-        let par = idx.query_batch_par(&ranges, 3);
         for (q, &(l, u)) in ranges.iter().enumerate() {
             let a = idx.query(l, u);
             prop_assert_eq!(a.to_bits(), oracle.query(l, u).to_bits(), "({}, {}]", l, u);
             prop_assert_eq!(a.to_bits(), batched[q].to_bits(), "batch ({}, {}]", l, u);
-            prop_assert_eq!(a.to_bits(), par[q].to_bits(), "par ({}, {}]", l, u);
         }
 
         // PFS2 round-trip: the decoded (compiled) index and an oracle
@@ -321,16 +324,16 @@ proptest! {
         }
 
         // Compact (swapping in reused + refitted compiled segments), then
-        // round-trip again; parallel batch stays bitwise too.
+        // round-trip again; both batch paths stay bitwise too.
         idx.compact_now();
         let back = DynamicPolyFitSum::from_bytes(&idx.to_bytes()).unwrap();
         let batched = idx.query_batch(&ranges);
-        let par = back.query_batch_par(&ranges, 2);
+        let back_batched = back.query_batch(&ranges);
         for (q, &(l, u)) in ranges.iter().enumerate() {
             let a = idx.query(l, u);
             prop_assert_eq!(a.to_bits(), back.query(l, u).to_bits(), "({}, {}]", l, u);
             prop_assert_eq!(a.to_bits(), batched[q].to_bits());
-            prop_assert_eq!(a.to_bits(), par[q].to_bits());
+            prop_assert_eq!(a.to_bits(), back_batched[q].to_bits());
         }
     }
 }

@@ -8,8 +8,8 @@
 //! * reversed bounds (`lo > hi`)     ⇒ the empty-range answer
 //!   (`Some(0)` for SUM/COUNT-family queries, `None` for extremum and
 //!   average queries);
-//! * `query_batch` / `query_batch_par` agree with `query` bit-for-bit on
-//!   all of it.
+//! * `query_batch` agrees with `query` bit-for-bit on all of it, and
+//!   `query_batch_rect` with `query_rect`.
 
 use polyfit_suite::baselines::{
     EquiDepthHistogram, FitingTree, Rmi, S2Dispatch, S2Mode, S2Sampler, STree,
@@ -171,38 +171,29 @@ fn reversed_and_non_finite_bounds_answer_uniformly() {
     }
 }
 
+/// `query_batch` answers the battery exactly like per-range `query`
+/// calls. (The name also covered a thread-parallel batch path, since
+/// removed: the batch engine is the one batch path left.)
 #[test]
 fn batch_and_parallel_batch_agree_with_query_on_degenerate_bounds() {
     let battery = probes(0.0, 3000.0);
     for m in &all_methods() {
         let batch = m.query_batch(&battery);
-        let par0 = m.query_batch_par(&battery, 0);
-        let par3 = m.query_batch_par(&battery, 3);
         assert_eq!(batch.len(), battery.len(), "{}", m.name());
         for (i, &(lo, hi)) in battery.iter().enumerate() {
-            let single = m.query(lo, hi);
-            for (what, got) in [("batch", &batch[i]), ("par(0)", &par0[i]), ("par(3)", &par3[i])] {
-                match (got, &single) {
-                    (Some(b), Some(s)) => {
-                        assert_eq!(
-                            b.value.to_bits(),
-                            s.value.to_bits(),
-                            "{} {what} probe {i} ({lo}, {hi}]",
-                            m.name()
-                        );
-                        assert_eq!(b.guarantee, s.guarantee, "{} {what} probe {i}", m.name());
-                        assert_eq!(
-                            b.used_fallback,
-                            s.used_fallback,
-                            "{} {what} probe {i}",
-                            m.name()
-                        );
-                    }
-                    (None, None) => {}
-                    other => {
-                        panic!("{} {what} probe {i} ({lo}, {hi}]: {other:?}", m.name())
-                    }
+            match (&batch[i], &m.query(lo, hi)) {
+                (Some(b), Some(s)) => {
+                    assert_eq!(
+                        b.value.to_bits(),
+                        s.value.to_bits(),
+                        "{} probe {i} ({lo}, {hi}]",
+                        m.name()
+                    );
+                    assert_eq!(b.guarantee, s.guarantee, "{} probe {i}", m.name());
+                    assert_eq!(b.used_fallback, s.used_fallback, "{} probe {i}", m.name());
                 }
+                (None, None) => {}
+                other => panic!("{} probe {i} ({lo}, {hi}]: {other:?}", m.name()),
             }
         }
     }
@@ -215,10 +206,15 @@ fn rect_queries_honor_the_contract() {
         .map(|i| polyfit_suite::exact::Point2d::new((i % 30) as f64, (i / 30) as f64, 1.0))
         .collect();
     let artree = ARTree::new(points.clone());
-    let quad =
-        QuadPolyFit::build(&points, 5.0, polyfit_suite::polyfit::twod::Quad2dConfig::default())
-            .unwrap();
-    let methods: Vec<&dyn AggregateIndex2d> = vec![&artree, &quad];
+    let quad = QuadPolyFit::build(&points, 5.0, Quad2dConfig::default()).unwrap();
+    let abs =
+        Guaranteed2dCount::with_abs_guarantee(&points, 20.0, Quad2dConfig::default()).unwrap();
+    let rel = RelDispatch2d::new(
+        Guaranteed2dCount::with_rel_guarantee(points.clone(), 5.0, Quad2dConfig::default())
+            .unwrap(),
+        0.1,
+    );
+    let methods: Vec<&dyn AggregateIndex2d> = vec![&artree, &quad, &abs, &rel];
     for m in &methods {
         // Non-finite on either axis: None.
         for &(a, b, c, d) in &[

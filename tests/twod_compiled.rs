@@ -4,18 +4,16 @@
 //! The compiled directory ([`polyfit::twod_directory::TwodDirectory`]) is
 //! a from-scratch re-implementation of the tree walk: flattened cell
 //! location via `partition_point` over the stored lattice lines, a
-//! fixed-stride coefficient arena, and a sort-and-share batched sweep.
+//! fixed-stride coefficient arena, and corner probes fused per rectangle.
 //! None of that is allowed to change a single answer — every test here
 //! compares `to_bits()`, not tolerances — under adversarial inputs:
 //! duplicated coordinates, one-ULP-separated tiles, signed zeros, NaN /
-//! reversed / degenerate rectangles, and batch sizes straddling the
-//! scalar-vs-sweep crossover.
+//! reversed / degenerate rectangles, and batches of those.
 
 use proptest::prelude::*;
 
 use polyfit_suite::exact::dataset::Point2d;
 use polyfit_suite::polyfit::twod::{Quad2dConfig, QuadPolyFit};
-use polyfit_suite::polyfit::twod_directory::RECT_SWEEP_MIN;
 use polyfit_suite::polyfit::{AggregateIndex2d, BuildOptions};
 
 fn cfg(res: usize) -> Quad2dConfig {
@@ -138,24 +136,31 @@ fn rect_strategy() -> impl Strategy<Value = (f64, f64, f64, f64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The batched sweep must agree bitwise with one-at-a-time queries for
-    /// every batch size around the scalar/sweep crossover, including
-    /// batches polluted with NaN / reversed / degenerate rectangles.
+    /// Batches must agree bitwise with one-at-a-time queries, through the
+    /// trait and through `QuadPolyFit::query_batch`, including batches
+    /// polluted with NaN / reversed / degenerate rectangles.
     #[test]
     fn batched_rects_bitwise_equal_scalar(
-        rects in proptest::collection::vec(rect_strategy(), 0..(2 * RECT_SWEEP_MIN + 4)),
+        rects in proptest::collection::vec(rect_strategy(), 0..20),
         seed in 0u64..8,
     ) {
         let pts = adversarial_points(1500, 0xC0FFEE ^ seed);
         let idx = QuadPolyFit::build(&pts, 60.0, cfg(32)).expect("build");
         let batch = AggregateIndex2d::query_batch_rect(&idx, &rects);
+        let raw = idx.query_batch(&rects);
         prop_assert_eq!(batch.len(), rects.len());
+        prop_assert_eq!(raw.len(), rects.len());
         for (i, &(ul, uh, vl, vh)) in rects.iter().enumerate() {
             let one = AggregateIndex2d::query_rect(&idx, ul, uh, vl, vh);
             prop_assert_eq!(
                 batch[i].map(|a| a.value.to_bits()),
                 one.map(|a| a.value.to_bits()),
                 "rect {} ({}, {}, {}, {})", i, ul, uh, vl, vh
+            );
+            prop_assert_eq!(
+                raw[i].to_bits(),
+                idx.query(ul, uh, vl, vh).to_bits(),
+                "raw rect {} ({}, {}, {}, {})", i, ul, uh, vl, vh
             );
         }
     }
